@@ -51,6 +51,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -64,17 +65,14 @@ using namespace msc;
 
 namespace {
 
-serve::Server *g_server = nullptr;
-serve::Router *g_router = nullptr;
+serve::Frontend *g_daemon = nullptr;
 
 extern "C" void
 onSignal(int)
 {
     // requestStop is async-signal-safe: atomics + close().
-    if (g_server)
-        g_server->requestStop();
-    if (g_router)
-        g_router->requestStop();
+    if (g_daemon)
+        g_daemon->requestStop();
 }
 
 int
@@ -123,7 +121,6 @@ main(int argc, char **argv)
     std::vector<client::Endpoint> shards;
 
     serve::ServerConfig cfg;
-    unsigned max_inflight = 0;
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -176,7 +173,7 @@ main(int argc, char **argv)
         } else if (const char *v4 = arg("--max-frame")) {
             cfg.maxFrame = uint32_t(atoll(v4));
         } else if (const char *v8 = arg("--max-inflight")) {
-            max_inflight = unsigned(atoll(v8));
+            cfg.maxInflight = unsigned(atoll(v8));
         } else if (const char *v5 = arg("--timeout-ms")) {
             cfg.defaults.budget.wallMs = uint32_t(atoll(v5));
         } else if (const char *v6 = arg("--max-fuel")) {
@@ -206,51 +203,29 @@ main(int argc, char **argv)
     // tears down only that connection), not SIGPIPE.
     std::signal(SIGPIPE, SIG_IGN);
 
+    std::unique_ptr<serve::Frontend> daemon;
     if (router) {
         serve::RouterConfig rcfg;
+        static_cast<serve::FrontendConfig &>(rcfg) = cfg;
         rcfg.shards = std::move(shards);
-        rcfg.defaults = cfg.defaults;
-        rcfg.maxFrame = cfg.maxFrame;
-        rcfg.maxInflight = max_inflight;
-        rcfg.logJson = cfg.logJson;
-
-        serve::Router rt(std::move(rcfg));
-        g_router = &rt;
-        std::signal(SIGINT, onSignal);
-        std::signal(SIGTERM, onSignal);
-
-        switch (mode) {
-          case Mode::Stdio: {
-            serve::FdTransport t(0, 1);
-            rt.serveConnection(t);
-            return 0;
-          }
-          case Mode::Unix:
-            return rt.serveUnix(unix_path);
-          case Mode::Tcp:
-            return rt.serveTcp(uint16_t(tcp_port));
-          case Mode::None:
-            break;
-        }
-        return usage();
+        daemon = std::make_unique<serve::Router>(std::move(rcfg));
+    } else {
+        daemon = std::make_unique<serve::Server>(std::move(cfg));
     }
-
-    cfg.maxInflight = max_inflight;
-    serve::Server server(std::move(cfg));
-    g_server = &server;
+    g_daemon = daemon.get();
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
 
     switch (mode) {
       case Mode::Stdio: {
         serve::FdTransport t(0, 1);
-        server.serveConnection(t);
+        daemon->serveConnection(t);
         return 0;
       }
       case Mode::Unix:
-        return server.serveUnix(unix_path);
+        return daemon->serveUnix(unix_path);
       case Mode::Tcp:
-        return server.serveTcp(uint16_t(tcp_port));
+        return daemon->serveTcp(uint16_t(tcp_port));
       case Mode::None:
         break;
     }

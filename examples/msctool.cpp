@@ -266,7 +266,6 @@ cmdRun(int argc, char **argv)
     bool ooo = true;
     std::string cache_dir;
     runtime::ExecBudget budget;
-    arch::CoreMode core = arch::CoreMode::Event;
     Remote remote;
 
     for (int i = 1; i < argc; ++i) {
@@ -298,10 +297,6 @@ cmdRun(int argc, char **argv)
             budget.maxFuel = uint64_t(atoll(v7));
         } else if (const char *v8 = arg("--max-cycles")) {
             budget.maxSimCycles = uint64_t(atoll(v8));
-        } else if (const char *v9 = arg("--core")) {
-            if (!arch::parseCoreMode(v9, core))
-                throw std::runtime_error("bad --core value " +
-                                         std::string(v9));
         } else if (const char *v10 = arg("--connect")) {
             remote.spec = v10;
         } else if (a == "--in-order") {
@@ -326,7 +321,6 @@ cmdRun(int argc, char **argv)
             .targets(sel.maxTargets)
             .inOrder(!ooo)
             .sizeHeuristic(sel.taskSizeHeuristic)
-            .core(arch::coreModeName(core))
             .budget(budget);
         return streamRemoteSweep(remote, req, "");
     }
@@ -334,7 +328,6 @@ cmdRun(int argc, char **argv)
     o.trace.traceInsts = trace_insts;
     o.config = arch::SimConfig::paperConfig(pus, ooo);
     o.config.maxTargets = sel.maxTargets;
-    o.config.coreMode = core;
     o.budget = budget;
 
     pipeline::Session session(loadProgram(spec),
@@ -399,7 +392,6 @@ cmdSweep(int argc, char **argv)
     workloads::Scale scale = workloads::Scale::Full;
     std::string json_path, csv_path, cache_dir;
     runtime::ExecBudget budget;
-    arch::CoreMode core = arch::CoreMode::Event;
     Remote remote;
 
     for (int i = 0; i < argc; ++i) {
@@ -436,10 +428,6 @@ cmdSweep(int argc, char **argv)
             budget.maxFuel = uint64_t(atoll(v10));
         } else if (const char *v11 = arg("--max-cycles")) {
             budget.maxSimCycles = uint64_t(atoll(v11));
-        } else if (const char *v12 = arg("--core")) {
-            if (!arch::parseCoreMode(v12, core))
-                throw std::runtime_error("bad --core value " +
-                                         std::string(v12));
         } else if (const char *v13 = arg("--connect")) {
             remote.spec = v13;
         } else if (a == "--in-order") {
@@ -469,7 +457,6 @@ cmdSweep(int argc, char **argv)
             .targets(targets)
             .inOrder(!ooo)
             .sizeHeuristic(size_heur)
-            .core(arch::coreModeName(core))
             .budget(budget);
         return streamRemoteSweep(remote, req, json_path);
     }
@@ -485,7 +472,6 @@ cmdSweep(int argc, char **argv)
                     n, report::strategyFromId(s), p, ooo, scale, insts,
                     size_heur, targets);
                 sp.opts.budget = budget;
-                sp.opts.config.coreMode = core;
                 specs.push_back(std::move(sp));
             }
 
@@ -546,7 +532,6 @@ cmdTrace(int argc, char **argv)
     std::string out_path, prof_path;
     unsigned top_n = 10;
     bool phase_spans = false, check = false;
-    arch::CoreMode core = arch::CoreMode::Event;
     Remote remote;
 
     for (int i = 1; i < argc; ++i) {
@@ -575,10 +560,6 @@ cmdTrace(int argc, char **argv)
             top_n = unsigned(atoi(v7));
         } else if (const char *v9 = arg("--connect")) {
             remote.spec = v9;
-        } else if (const char *v8 = arg("--core")) {
-            if (!arch::parseCoreMode(v8, core))
-                throw std::runtime_error("bad --core value " +
-                                         std::string(v8));
         } else if (a == "--in-order") {
             ooo = false;
         } else if (a == "--size") {
@@ -606,7 +587,6 @@ cmdTrace(int argc, char **argv)
             .targets(sel.maxTargets)
             .inOrder(!ooo)
             .sizeHeuristic(sel.taskSizeHeuristic)
-            .core(arch::coreModeName(core))
             .includeTrace(!out_path.empty());
         client::ClientConn conn(remote.endpoint());
         client::ResponseFrame last = conn.call(req);
@@ -639,7 +619,6 @@ cmdTrace(int argc, char **argv)
     o.trace.traceInsts = trace_insts;
     o.config = arch::SimConfig::paperConfig(pus, ooo);
     o.config.maxTargets = sel.maxTargets;
-    o.config.coreMode = core;
 
     obs::PerfettoTraceWriter writer(pus, spec);
     obs::TaskProfiler prof;
@@ -975,14 +954,13 @@ main(int argc, char **argv)
                  "              [--size] [--targets N] [--insts N]\n"
                  "              [--cache-dir DIR] [--timeout-ms N]\n"
                  "              [--max-fuel N] [--max-cycles N]\n"
-                 "              [--core cycle|event]\n"
                  "       msctool sweep  [workloads...]\n"
                  "              [--strategy bb,cf,dd] [--pus 4,8]\n"
                  "              [--jobs N] [--json file] [--csv file]\n"
                  "              [--in-order] [--size] [--targets N]\n"
                  "              [--insts N] [--small] [--cache-dir DIR]\n"
                  "              [--timeout-ms N] [--max-fuel N]\n"
-                 "              [--max-cycles N] [--core cycle|event]\n"
+                 "              [--max-cycles N]\n"
                  "              exit: 0 clean, 1 all failed, 3 partial\n"
                  "       msctool fuzz   [--count N] [--seed S]\n"
                  "              [--jobs N] [--size 0..3] [--max-insts N]\n"
@@ -993,7 +971,7 @@ main(int argc, char **argv)
                  "              [--pus N] [--strategy bb|cf|dd]\n"
                  "              [--in-order] [--size] [--targets N]\n"
                  "              [--insts N] [--top N] [--phase-times]\n"
-                 "              [--check] [--core cycle|event]\n"
+                 "              [--check]\n"
                  "       msctool stats  (--connect EP | --unix PATH |\n"
                  "              --tcp PORT | --stdio) [--json | --prom]\n"
                  "       msctool cancel <request-id> --connect EP\n"

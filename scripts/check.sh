@@ -16,7 +16,8 @@
 # registry unit tests plus the stats-verb conformance and live
 # msctool-stats round trips, rerun under both sanitizers (the metrics
 # hot path is lock-free atomics — exactly where a race or overflow
-# would hide).
+# would hide). The same two labels run once more under TSan, which is
+# what checks the callback/writer threading of src/serve.
 #
 #   scripts/check.sh            # everything
 #   scripts/check.sh --fast     # optimized tier1 only (no sanitizers)
@@ -94,5 +95,16 @@ run ctest --test-dir build-ubsan -L robust -j "$JOBS" --output-on-failure
 run ctest --test-dir build-ubsan -L daemon -j "$JOBS" --output-on-failure
 run ctest --test-dir build-ubsan -L metrics -j "$JOBS" --output-on-failure
 run ctest --test-dir build-ubsan -L fuzz -j "$JOBS" --output-on-failure
+
+# Stage 4: ThreadSanitizer over the threaded service code — the
+# connection reader/writer pair, dispatcher workers completing cells
+# through callbacks, and shard-link readers demuxing into other
+# connections' writers. Any report fails the test that triggered it.
+run cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DMSC_SANITIZE="thread"
+run cmake --build build-tsan -j "$JOBS"
+export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
+run ctest --test-dir build-tsan -L daemon --output-on-failure
+run ctest --test-dir build-tsan -L metrics --output-on-failure
 
 echo "== all checks passed"

@@ -189,13 +189,6 @@ RequestBuilder::sizeHeuristic(bool on)
 }
 
 RequestBuilder &
-RequestBuilder::core(const std::string &mode)
-{
-    _doc["core"] = mode;
-    return *this;
-}
-
-RequestBuilder &
 RequestBuilder::budget(const runtime::ExecBudget &b)
 {
     Json obj = Json::object();

@@ -76,7 +76,6 @@ class RequestBuilder
     RequestBuilder &targets(unsigned n);
     RequestBuilder &inOrder(bool in_order);
     RequestBuilder &sizeHeuristic(bool on);
-    RequestBuilder &core(const std::string &mode);
 
     /** Emits a `budget` object with every *nonzero* field of @p b
      *  (zero = unlimited = the protocol default, so it is omitted). */

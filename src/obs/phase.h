@@ -1,9 +1,9 @@
 /**
  * @file
- * Wall-clock timing of the five sim::runPipeline stages.
+ * Wall-clock timing of the five pipeline::Session stages.
  *
- * Attach a PhaseTimes to RunOptions::phaseTimes and the runner fills
- * in how long each stage took on the host. This is *host* time, not
+ * Attach a PhaseTimes to StageOptions::phaseTimes and the Session
+ * fills in how long each stage took on the host. This is *host* time, not
  * simulated time: it answers "where does msctool spend its seconds",
  * not "where do PU cycles go". It is reported on stderr and (on
  * request) as a separate track in the trace file, and is deliberately
@@ -20,7 +20,7 @@
 namespace msc {
 namespace obs {
 
-/** The stages of sim::runPipeline, in execution order. */
+/** The pipeline stages, in execution order. */
 enum class PipelinePhase : uint8_t
 {
     Transforms,     ///< IV hoisting, unrolling, CFG + layout.

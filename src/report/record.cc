@@ -211,9 +211,15 @@ sweepExitCode(const std::vector<RunRecord> &records)
     size_t failed = 0;
     for (const auto &r : records)
         failed += !r.ok();
+    return sweepExitCode(failed, records.size());
+}
+
+int
+sweepExitCode(size_t failed, size_t total)
+{
     if (failed == 0)
         return EXIT_SWEEP_CLEAN;
-    if (failed == records.size())
+    if (failed == total)
         return EXIT_SWEEP_FAILED;
     return EXIT_SWEEP_PARTIAL;
 }

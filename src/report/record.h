@@ -150,6 +150,10 @@ constexpr int EXIT_SWEEP_PARTIAL = 3;  ///< Mixed: valid partial output.
  *  clean). */
 int sweepExitCode(const std::vector<RunRecord> &records);
 
+/** The same mapping from counts: @p failed of @p total cells failed.
+ *  The daemon's summary frames use this over relayed cell statuses. */
+int sweepExitCode(size_t failed, size_t total);
+
 /** Stable name for a sweep exit code — "ok" (0), "failed" (1),
  *  "partial" (3) — as emitted in mscd summary frames. The daemon
  *  derives its summary `status` from sweepExitCode through this

@@ -15,14 +15,6 @@ namespace {
  *  per-stage tags in pipeline/session.cc). */
 constexpr uint64_t TAG_CELL = 0x6d73636463656c6cull;  // "mscdcell"
 
-std::shared_future<report::RunRecord>
-readyFuture(report::RunRecord rec)
-{
-    std::promise<report::RunRecord> p;
-    p.set_value(std::move(rec));
-    return p.get_future().share();
-}
-
 } // anonymous namespace
 
 report::RunRecord
@@ -140,6 +132,18 @@ Dispatcher::submit(const report::RunSpec &spec,
                    const runtime::CancelToken *cancel,
                    const std::string &rid)
 {
+    auto prom = std::make_shared<std::promise<report::RunRecord>>();
+    submit(spec, cancel, rid, [prom](const report::RunRecord &rec) {
+        prom->set_value(rec);
+    });
+    return prom->get_future().share();
+}
+
+void
+Dispatcher::submit(const report::RunSpec &spec,
+                   const runtime::CancelToken *cancel,
+                   const std::string &rid, CellDone done)
+{
     // Resolve the cell's identity: the Session's own simulate-stage
     // key (program bytes + every option field any stage reads) plus
     // the budget, which is outside artifact keys by design but part
@@ -160,35 +164,32 @@ Dispatcher::submit(const report::RunSpec &spec,
             .word(spec.opts.verifyPartition);
         key = h.digest();
     } catch (...) {
-        std::lock_guard<std::mutex> lock(_mu);
-        ++_stats.cellsSubmitted;
-        if (_cellsSubmitted)
-            _cellsSubmitted->inc();
-        return readyFuture(
-            errorRecord(spec, std::current_exception()));
+        {
+            std::lock_guard<std::mutex> lock(_mu);
+            ++_stats.cellsSubmitted;
+            if (_cellsSubmitted)
+                _cellsSubmitted->inc();
+        }
+        done(errorRecord(spec, std::current_exception()));
+        return;
     }
 
-    std::shared_future<report::RunRecord> fut;
     {
         std::lock_guard<std::mutex> lock(_mu);
         ++_stats.cellsSubmitted;
         if (_cellsSubmitted)
             _cellsSubmitted->inc();
-        auto it = _inflight.find(key);
-        if (it != _inflight.end()) {
+        auto [it, fresh] = _inflight.try_emplace(key);
+        it->second.push_back(std::move(done));
+        if (!fresh) {
             ++_stats.dedupHits;
             if (_dedupHits)
                 _dedupHits->inc();
-            return it->second.future;
+            return;
         }
-        auto prom =
-            std::make_shared<std::promise<report::RunRecord>>();
-        fut = prom->get_future().share();
-        _inflight.emplace(key, InFlight{fut});
         if (_cellsInflight)
             _cellsInflight->add(1);
-        _queue.push_back([this, prom, session, spec, cancel, key,
-                          rid] {
+        _queue.push_back([this, session, spec, cancel, key, rid] {
             if (_log && _log->enabled()) {
                 report::Json f = report::Json::object();
                 f["rid"] = rid;
@@ -198,9 +199,11 @@ Dispatcher::submit(const report::RunSpec &spec,
             auto t0 = std::chrono::steady_clock::now();
             report::RunRecord rec =
                 executeCell(*session, spec, cancel);
+            std::vector<CellDone> waiters;
             {
                 std::lock_guard<std::mutex> lk(_mu);
-                _inflight.erase(key);
+                auto node = _inflight.extract(key);
+                waiters = std::move(node.mapped());
             }
             if (_cellsInflight)
                 _cellsInflight->add(-1);
@@ -219,42 +222,25 @@ Dispatcher::submit(const report::RunSpec &spec,
                         .count());
                 _log->event("cell.done", std::move(f));
             }
-            prom->set_value(std::move(rec));
+            for (auto &w : waiters)
+                w(rec);
         });
         if (_queueDepth)
             _queueDepth->add(1);
     }
     _cv.notify_one();
-    return fut;
-}
-
-std::shared_ptr<runtime::CancelToken>
-Dispatcher::registerRequest(const std::string &id)
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    auto [it, inserted] = _requests.emplace(id, nullptr);
-    if (!inserted)
-        return nullptr;
-    it->second = std::make_shared<runtime::CancelToken>();
-    return it->second;
 }
 
 void
-Dispatcher::unregisterRequest(const std::string &id)
+Dispatcher::post(std::function<void()> job)
 {
-    std::lock_guard<std::mutex> lock(_mu);
-    _requests.erase(id);
-}
-
-bool
-Dispatcher::cancelRequest(const std::string &id)
-{
-    std::lock_guard<std::mutex> lock(_mu);
-    auto it = _requests.find(id);
-    if (it == _requests.end())
-        return false;
-    it->second->requestCancel();
-    return true;
+    {
+        std::lock_guard<std::mutex> lock(_mu);
+        _queue.push_back(std::move(job));
+        if (_queueDepth)
+            _queueDepth->add(1);
+    }
+    _cv.notify_one();
 }
 
 DispatchStats

@@ -11,9 +11,9 @@
  * deliberately outside artifact keys, but two requests with
  * different budgets may legitimately produce different *outcomes*,
  * so they must not coalesce). While a cell with that identity is
- * queued or executing, further submits return the same
- * shared_future: N concurrent identical requests block on one
- * computation and receive byte-identical records. Entries are
+ * queued or executing, further submits join its waiter list: N
+ * concurrent identical requests share one computation and receive
+ * byte-identical records. Entries are
  * dropped on completion — long-term memoization belongs to the
  * Session artifact caches, which make a repeat after completion a
  * pure cache-hit replay.
@@ -36,7 +36,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -118,34 +117,34 @@ class Dispatcher
 
     unsigned jobs() const { return unsigned(_workers.size()); }
 
+    /** Completion callback of one cell: runs on the worker that
+     *  finished it (or inline in submit() when the cell fails before
+     *  reaching the pool). Must not block. */
+    using CellDone = std::function<void(const report::RunRecord &)>;
+
     /**
-     * Schedules @p spec on the worker pool and returns the future
-     * record. @p cancel (nullable, must outlive the returned future's
-     * completion) is polled by the cell's Governor. @p rid is the
-     * server-minted RequestId of the submitting request, threaded to
-     * the worker thread for cell-lifecycle log lines (a deduped cell
-     * keeps the FIRST submitter's rid, matching whose cancel token it
-     * runs under). Never throws; failures resolve to error records
-     * with the workload attributed.
+     * Schedules @p spec on the worker pool; @p done receives the
+     * record. @p cancel (nullable, must outlive @p done's call) is
+     * polled by the cell's Governor. @p rid is the server-minted
+     * RequestId of the submitting request, threaded to the worker
+     * thread for cell-lifecycle log lines (a deduped cell keeps the
+     * FIRST submitter's rid, matching whose cancel token it runs
+     * under). Never throws; failures resolve to error records with
+     * the workload attributed.
      */
+    void submit(const report::RunSpec &spec,
+                const runtime::CancelToken *cancel,
+                const std::string &rid, CellDone done);
+
+    /** submit() returning the record as a future. */
     std::shared_future<report::RunRecord>
     submit(const report::RunSpec &spec,
            const runtime::CancelToken *cancel,
            const std::string &rid = {});
 
-    /// @name Cancellation registry (request id -> token).
-    /// @{
-    /** Registers @p id; returns its fresh token, or nullptr when the
-     *  id is already in flight (the server rejects the duplicate). */
-    std::shared_ptr<runtime::CancelToken>
-    registerRequest(const std::string &id);
-
-    void unregisterRequest(const std::string &id);
-
-    /** Cancels the in-flight request @p id; false when unknown (never
-     *  registered, already completed, or already unregistered). */
-    bool cancelRequest(const std::string &id);
-    /// @}
+    /** Queues @p job on the worker pool as-is — no dedup, no record
+     *  (trace requests). The job must not throw. */
+    void post(std::function<void()> job);
 
     /** The shared session pool. */
     pipeline::SessionPool &pool() { return _pool; }
@@ -158,11 +157,6 @@ class Dispatcher
     ServiceSnapshot snapshot() const;
 
   private:
-    struct InFlight
-    {
-        std::shared_future<report::RunRecord> future;
-    };
-
     void workerLoop();
 
     static report::RunRecord
@@ -187,9 +181,8 @@ class Dispatcher
     bool _stopping = false;
     std::vector<std::thread> _workers;
 
-    std::unordered_map<uint64_t, InFlight> _inflight;
-    std::map<std::string, std::shared_ptr<runtime::CancelToken>>
-        _requests;
+    /** Cell identity -> callbacks waiting on its computation. */
+    std::unordered_map<uint64_t, std::vector<CellDone>> _inflight;
     DispatchStats _stats;
 };
 

@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <list>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -82,7 +84,23 @@ AcceptLoop::run(int listen_fd,
             ::close(fd);
         return 0;
     }
-    std::vector<std::thread> conns;
+    // Connection threads are reaped as they finish (at the next
+    // accept), not at shutdown: a long-lived listener keeps only its
+    // live connections' threads and stacks.
+    std::mutex mu;
+    std::list<std::thread> conns;
+    std::vector<std::list<std::thread>::iterator> finished;
+    auto reap = [&] {
+        std::list<std::thread> done;
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            for (auto it : finished)
+                done.splice(done.end(), conns, it);
+            finished.clear();
+        }
+        for (auto &th : done)
+            th.join();
+    };
     while (!_stop.load()) {
         int c = ::accept(listen_fd, nullptr, nullptr);
         if (c < 0) {
@@ -90,7 +108,14 @@ AcceptLoop::run(int listen_fd,
                 continue;
             break;  // requestStop closed the listener (or hard error)
         }
-        conns.emplace_back([&handler, c] { handler(c); });
+        reap();
+        std::lock_guard<std::mutex> lock(mu);
+        auto it = conns.emplace(conns.end());
+        *it = std::thread([&, it, c] {
+            handler(c);
+            std::lock_guard<std::mutex> done(mu);
+            finished.push_back(it);
+        });
     }
     // Whoever wins the exchange closes — requestStop() may already
     // have claimed (and closed) the descriptor.

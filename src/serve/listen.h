@@ -2,18 +2,20 @@
  * @file
  * Shared socket-listener plumbing for mscd front-ends.
  *
- * Both daemon shapes — the single-process Server and the shard-mode
- * Router — accept connections the same way: bind a Unix or loopback
- * TCP listening socket, accept in a loop, serve each connection on
- * its own thread, and stop asynchronously (signal-safe) by flagging +
- * closing the listener. This file is that shape, factored once:
+ * serve::Frontend accepts connections for both daemon shapes: bind a
+ * Unix or loopback TCP listening socket, accept in a loop, serve each
+ * connection on its own thread, and stop asynchronously (signal-safe)
+ * by flagging + closing the listener. This file is that shape:
  *
  *  - bindUnix/bindTcp create ready-to-accept listening sockets
  *    (bindTcp sets SO_REUSEADDR so an immediate rebind after a
  *    restart does not flake on TIME_WAIT);
  *  - AcceptLoop owns the stop handshake: run() accepts until
  *    requestStop() closes the descriptor out from under it, then
- *    joins every connection thread before returning.
+ *    joins every connection thread before returning. Threads of
+ *    connections that already ended are joined as new ones arrive,
+ *    so a long-lived listener holds threads only for live
+ *    connections.
  */
 
 #pragma once
@@ -44,8 +46,9 @@ class AcceptLoop
   public:
     /** Accepts on @p listen_fd until requestStop(), invoking
      *  @p handler(connected_fd) on a dedicated thread per connection
-     *  (the handler owns and must close the fd). Joins all connection
-     *  threads, then returns 0. Takes ownership of @p listen_fd. */
+     *  (the handler owns and must close the fd). Finished connection
+     *  threads are joined at the next accept; the rest on return.
+     *  Returns 0. Takes ownership of @p listen_fd. */
     int run(int listen_fd,
             const std::function<void(int fd)> &handler);
 

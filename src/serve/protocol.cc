@@ -107,17 +107,17 @@ budgetField(const report::Json &obj, const runtime::ExecBudget &dflt)
     return b;
 }
 
-arch::CoreMode
-coreField(const report::Json &obj)
+/** `core` is validated for compatibility and otherwise ignored: the
+ *  event and cycle cores are byte-identical by contract
+ *  (docs/PERFORMANCE.md), so the choice cannot change a result. */
+void
+checkCoreField(const report::Json &obj)
 {
     const report::Json *v = obj.find("core");
-    if (!v)
-        return arch::CoreMode::Event;
     arch::CoreMode core;
-    if (v->kind() != report::Json::Kind::String ||
-        !arch::parseCoreMode(v->asString().c_str(), core))
+    if (v && (v->kind() != report::Json::Kind::String ||
+              !arch::parseCoreMode(v->asString().c_str(), core)))
         bad("field \"core\" must be \"cycle\" or \"event\"");
-    return core;
 }
 
 Request
@@ -221,7 +221,7 @@ parseImpl(const std::string &payload, const RequestDefaults &defaults)
         bad("\"targets\" must be in [1, 64]");
     bool in_order = boolField(doc, "in_order", false);
     bool size_heur = boolField(doc, "size", false);
-    arch::CoreMode core = coreField(doc);
+    checkCoreField(doc);
     runtime::ExecBudget budget = budgetField(doc, defaults.budget);
 
     size_t cells = names.size() * strategies.size() * pus.size();
@@ -239,7 +239,6 @@ parseImpl(const std::string &payload, const RequestDefaults &defaults)
                     n, report::strategyFromId(s), p, !in_order, scale,
                     insts, size_heur, targets);
                 sp.opts.budget = budget;
-                sp.opts.config.coreMode = core;
                 req.specs.push_back(std::move(sp));
             }
     return req;
@@ -351,51 +350,17 @@ cellFrame(const std::string &id, size_t index, size_t total,
     return f;
 }
 
-report::Json
-summaryFrame(const std::string &id,
-             const std::vector<report::RunRecord> &records,
-             const pipeline::CacheStats &cache, uint64_t dedup_hits)
-{
-    size_t failed = 0;
-    for (const auto &r : records)
-        failed += !r.ok();
-    int exit_code = report::sweepExitCode(records);
-
-    report::Json f = report::Json::object();
-    f["id"] = id;
-    f["type"] = "summary";
-    f["protocol_version"] = PROTOCOL_VERSION;
-    f["status"] = report::sweepStatusName(exit_code);
-    f["exit_code"] = exit_code;
-    f["partial"] = failed != 0;
-    f["errors"] = uint64_t(failed);
-    f["runs"] = uint64_t(records.size());
-
-    // Cumulative pool-wide counters — deliberately OUTSIDE the
-    // byte-determinism contract of cell frames (docs/DAEMON.md).
-    report::Json c = report::Json::object();
-    c["computed"] = cache.computed();
-    c["hits"] = cache.hits();
-    c["disk_hits"] = cache.diskHits();
-    f["cache"] = std::move(c);
-    f["dedup_hits"] = dedup_hits;
-    return f;
-}
+namespace {
 
 report::Json
-routedSummaryFrame(const std::string &id,
-                   const std::vector<std::string> &statuses,
-                   const report::Json &cache, uint64_t dedup_hits,
-                   const std::vector<uint64_t> &shard_cells)
+summaryOf(const std::string &id,
+          const std::vector<std::string> &statuses, report::Json cache,
+          uint64_t dedup_hits)
 {
     size_t failed = 0;
     for (const auto &s : statuses)
         failed += s != "ok";
-    int exit_code = report::EXIT_SWEEP_CLEAN;
-    if (failed == statuses.size() && failed != 0)
-        exit_code = report::EXIT_SWEEP_FAILED;
-    else if (failed != 0)
-        exit_code = report::EXIT_SWEEP_PARTIAL;
+    int exit_code = report::sweepExitCode(failed, statuses.size());
 
     report::Json f = report::Json::object();
     f["id"] = id;
@@ -406,8 +371,46 @@ routedSummaryFrame(const std::string &id,
     f["partial"] = failed != 0;
     f["errors"] = uint64_t(failed);
     f["runs"] = uint64_t(statuses.size());
-    f["cache"] = cache;
+    f["cache"] = std::move(cache);
     f["dedup_hits"] = dedup_hits;
+    return f;
+}
+
+} // anonymous namespace
+
+report::Json
+summaryFrame(const std::string &id,
+             const std::vector<std::string> &statuses,
+             const pipeline::CacheStats &cache, uint64_t dedup_hits)
+{
+    // Cumulative pool-wide counters — deliberately OUTSIDE the
+    // byte-determinism contract of cell frames (docs/DAEMON.md).
+    report::Json c = report::Json::object();
+    c["computed"] = cache.computed();
+    c["hits"] = cache.hits();
+    c["disk_hits"] = cache.diskHits();
+    return summaryOf(id, statuses, std::move(c), dedup_hits);
+}
+
+report::Json
+summaryFrame(const std::string &id,
+             const std::vector<report::RunRecord> &records,
+             const pipeline::CacheStats &cache, uint64_t dedup_hits)
+{
+    std::vector<std::string> statuses;
+    statuses.reserve(records.size());
+    for (const auto &r : records)
+        statuses.push_back(r.ok() ? "ok" : "error");
+    return summaryFrame(id, statuses, cache, dedup_hits);
+}
+
+report::Json
+routedSummaryFrame(const std::string &id,
+                   const std::vector<std::string> &statuses,
+                   const report::Json &cache, uint64_t dedup_hits,
+                   const std::vector<uint64_t> &shard_cells)
+{
+    report::Json f = summaryOf(id, statuses, cache, dedup_hits);
     f["via"] = "router";
     report::Json shards = report::Json::array();
     for (uint64_t n : shard_cells)

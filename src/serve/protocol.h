@@ -132,6 +132,16 @@ report::Json cellFrame(const std::string &id, size_t index,
                        size_t total, report::Json run,
                        int shard = -1);
 
+/** The summary over the cells' `status` strings (`ok`/`error`, as
+ *  in each run object): status/exit_code follow the
+ *  report::sweepExitCode mapping. @p cache/@p dedup_hits are the
+ *  pool-wide counters — outside the byte-determinism contract. */
+report::Json summaryFrame(const std::string &id,
+                          const std::vector<std::string> &statuses,
+                          const pipeline::CacheStats &cache,
+                          uint64_t dedup_hits);
+
+/** The same summary over records. */
 report::Json summaryFrame(const std::string &id,
                           const std::vector<report::RunRecord> &records,
                           const pipeline::CacheStats &cache,

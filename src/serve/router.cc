@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <condition_variable>
+#include <deque>
 #include <functional>
-#include <future>
+#include <map>
 #include <thread>
 
 #include <sys/socket.h>
@@ -32,8 +33,8 @@ jsonUInt(const report::Json &obj, const char *key)
 
 } // anonymous namespace
 
-/** What one forwarded request resolved to (set exactly once, by the
- *  link's reader thread or its death). */
+/** What one forwarded request resolved to (delivered exactly once,
+ *  by the link's reader thread or its death). */
 struct CellOutcome
 {
     bool ok = false;
@@ -49,15 +50,21 @@ struct CellOutcome
 };
 
 /**
- * One downstream shard: lazy connection with retry/backoff, a demux
- * reader thread resolving forwarded requests by id, and latest-known
- * summary counters. All state is guarded by _mu; the reader holds it
- * only per frame, so a stalled shard never blocks forwarding to
- * others (each link has its own lock).
+ * One downstream shard: a send queue drained by the link's sender
+ * thread (lazy connect with retry/backoff, then writes in queue
+ * order), a demux reader thread per connection resolving forwarded
+ * requests by id through their callbacks, and latest-known summary
+ * counters. State is guarded by _mu, which is never held across
+ * socket I/O or a backoff sleep, so forward() only queues: a shard
+ * that is down, restarting or stopped never stalls the client
+ * connection that routes to it. Callbacks run with _mu released and
+ * only queue frames.
  */
 class Router::ShardLink
 {
   public:
+    using Done = std::function<void(CellOutcome)>;
+
     ShardLink(unsigned index, client::Endpoint ep,
               const RouterConfig &cfg, obs::MetricsRegistry &metrics,
               obs::JsonLogger &log)
@@ -68,60 +75,83 @@ class Router::ShardLink
         _cells = &metrics.counter(base + "cells");
         _downs = &metrics.counter(base + "down");
         _connects = &metrics.counter(base + "connects");
+        _forwarded = &metrics.counter("router.cells.forwarded");
+        _sender = std::thread([this] { senderLoop(); });
     }
 
     ~ShardLink()
     {
+        Pending failed;
+        {
+            // Retiring the connection also unblocks a sender stuck
+            // writing to a shard that stopped reading.
+            std::lock_guard<std::mutex> lock(_mu);
+            _closing = true;
+            failed = markDownLocked(_gen, "router shutting down");
+        }
+        _wake.notify_all();
+        _sender.join();
         std::vector<std::thread> readers;
         {
             std::lock_guard<std::mutex> lock(_mu);
-            _closing = true;
-            markDownLocked(_gen, "router shutting down");
+            // Queued cells too, not only the ones already written.
+            failed.merge(_pending);
+            _pending.clear();
             readers.swap(_readers);
         }
+        fail(failed, "router shutting down");
         for (auto &th : readers)
             th.join();
     }
 
-    /** Sends one single-cell request; the future resolves when its
-     *  terminal frame arrives or the link dies. Throws
-     *  runtime::StageError (ErrorKind::Io) when the shard cannot be
-     *  reached (connect retry with backoff exhausted). */
-    std::future<CellOutcome>
-    forward(const std::string &cell_id, const std::string &payload)
+    /** Queues one single-cell request on behalf of @p owner; @p done
+     *  runs exactly once, when its terminal frame arrives, its write
+     *  or connection fails, or the shard stays unreachable (connect
+     *  retry with backoff exhausted). Throws runtime::StageError
+     *  (ErrorKind::Io) only while the router is shutting down. */
+    void
+    forward(const std::string &cell_id, std::string payload,
+            const Call *owner, Done done)
     {
-        std::lock_guard<std::mutex> lock(_mu);
-        ensureConnectedLocked();
-        auto pc = std::make_shared<Pending>();
-        std::future<CellOutcome> fut = pc->prom.get_future();
-        _pending.emplace(cell_id, pc);
-        try {
-            writeFrame(*_transport, payload);
-        } catch (...) {
-            _pending.erase(cell_id);
-            markDownLocked(_gen, "write to shard failed");
-            throw unreachable("write failed");
+        {
+            std::lock_guard<std::mutex> lock(_mu);
+            if (_closing)
+                throw unreachable("router shutting down");
+            Waiter &w = _pending[cell_id];
+            w.done = std::move(done);
+            w.owner = owner;
+            _outbox.push_back({cell_id, std::move(payload), false});
         }
-        _cells->inc();
-        return fut;
+        _wake.notify_all();
     }
 
-    /** Best-effort cancel relay for a cell in flight on this shard
-     *  (responses to @p cancel_id are demuxed and dropped). */
+    /** Ids of the cells @p owner has in flight on this shard. */
+    std::vector<std::string>
+    cellsOf(const Call *owner) const
+    {
+        std::lock_guard<std::mutex> lock(_mu);
+        std::vector<std::string> ids;
+        for (const auto &[id, w] : _pending)
+            if (w.owner == owner)
+                ids.push_back(id);
+        return ids;
+    }
+
+    /** Best-effort cancel relay for a cell in flight on this shard,
+     *  queued behind the cell itself (responses to @p cancel_id are
+     *  demuxed and dropped). */
     void
     sendCancel(const std::string &cancel_id, const std::string &target)
     {
-        std::lock_guard<std::mutex> lock(_mu);
-        if (_fd < 0)
-            return;
-        std::string payload =
-            client::RequestBuilder::cancel(cancel_id, target)
-                .payload();
-        try {
-            writeFrame(*_transport, payload);
-        } catch (...) {
-            markDownLocked(_gen, "write to shard failed");
+        {
+            std::lock_guard<std::mutex> lock(_mu);
+            _outbox.push_back(
+                {target,
+                 client::RequestBuilder::cancel(cancel_id, target)
+                     .payload(),
+                 true});
         }
+        _wake.notify_all();
     }
 
     /** Latest summary counters seen from this shard (cumulative on
@@ -137,14 +167,35 @@ class Router::ShardLink
         dedup = _dedup;
     }
 
-    const client::Endpoint &endpoint() const { return _ep; }
-
   private:
-    struct Pending
+    /** A connected descriptor, closed once neither the sender nor the
+     *  connection's reader holds it any more. */
+    struct Socket
     {
-        std::promise<CellOutcome> prom;
+        explicit Socket(int f) : fd(f) {}
+        ~Socket() { ::close(fd); }
+        Socket(const Socket &) = delete;
+        Socket &operator=(const Socket &) = delete;
+        const int fd;
+    };
+
+    struct Waiter
+    {
+        Done done;
+        const Call *owner = nullptr;
+        /** Connection generation the request was written on; 0 while
+         *  it is still queued. */
+        uint64_t gen = 0;
         report::Json run;
         bool haveRun = false;
+    };
+    using Pending = std::map<std::string, Waiter>;
+
+    struct Outgoing
+    {
+        std::string cell;  ///< The cell, or the cancel's target.
+        std::string payload;
+        bool cancel;
     };
 
     runtime::StageError
@@ -156,86 +207,180 @@ class Router::ShardLink
                 client::formatEndpoint(_ep) + "): " + why);
     }
 
-    void
-    ensureConnectedLocked()
+    /** Connects with the retry ladder, on the sender thread with _mu
+     *  released. Null when the shard stays unreachable (@p why says
+     *  why) or the link is closing. */
+    std::shared_ptr<Socket>
+    connectWithRetry(std::string &why)
     {
-        if (_fd >= 0)
-            return;
-        if (_closing)
-            throw unreachable("router shutting down");
+        // _failFast is sender-thread state: no lock needed.
         unsigned attempts =
             _failFast ? 1 : std::max(1u, _cfg.connectAttempts);
         for (unsigned a = 1; a <= attempts; ++a) {
             try {
-                int fd = client::connectEndpoint(_ep);
-                _fd = fd;
-                _transport =
-                    std::make_unique<FdTransport>(fd, fd);
-                ++_gen;
+                auto sock = std::make_shared<Socket>(
+                    client::connectEndpoint(_ep));
                 _failFast = false;
-                _connects->inc();
-                if (_log.enabled()) {
-                    report::Json f = report::Json::object();
-                    f["shard"] = uint64_t(_index);
-                    f["endpoint"] = client::formatEndpoint(_ep);
-                    _log.event("shard.connect", std::move(f));
-                }
-                uint64_t gen = _gen;
-                _readers.emplace_back(
-                    [this, fd, gen] { readerLoop(fd, gen); });
-                return;
+                return sock;
             } catch (const runtime::StageError &) {
-                if (a < attempts)
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(
-                            a * _cfg.connectBackoffMs));
+                if (a == attempts)
+                    break;
+                std::unique_lock<std::mutex> lock(_mu);
+                if (_wake.wait_for(lock,
+                                   std::chrono::milliseconds(
+                                       a * _cfg.connectBackoffMs),
+                                   [&] { return _closing; }))
+                    return nullptr;
             }
         }
         // A fully failed round: later cells probe once instead of
         // re-paying the whole backoff ladder per cell.
         _failFast = true;
-        throw unreachable("unreachable after " +
-                          std::to_string(attempts) +
-                          " connect attempts");
+        why = "unreachable after " + std::to_string(attempts) +
+              " connect attempts";
+        return nullptr;
     }
 
-    /** Fails every pending cell and retires generation @p gen. A
-     *  stale generation (reconnect already happened) is a no-op, so
-     *  an old reader's exit can never kill a fresh connection. */
+    /** Installs a fresh connection as the next generation and starts
+     *  its reader. */
     void
+    connectedLocked(std::shared_ptr<Socket> sock)
+    {
+        _sock = sock;
+        uint64_t gen = ++_gen;
+        _connects->inc();
+        if (_log.enabled()) {
+            report::Json f = report::Json::object();
+            f["shard"] = uint64_t(_index);
+            f["endpoint"] = client::formatEndpoint(_ep);
+            _log.event("shard.connect", std::move(f));
+        }
+        _readers.emplace_back([this, sock = std::move(sock), gen] {
+            readerLoop(sock, gen);
+        });
+    }
+
+    void
+    senderLoop()
+    {
+        std::unique_lock<std::mutex> lock(_mu);
+        for (;;) {
+            _wake.wait(lock,
+                       [&] { return _closing || !_outbox.empty(); });
+            if (_closing)
+                return;  // the destructor fails what is left
+            Outgoing out = std::move(_outbox.front());
+            _outbox.pop_front();
+            // A cell that already failed, or a cancel whose target
+            // already finished, has nothing left to send.
+            if (!_pending.count(out.cell))
+                continue;
+            if (!_sock) {
+                if (out.cancel)
+                    continue;  // its cell died with the connection
+                lock.unlock();
+                std::string why;
+                std::shared_ptr<Socket> sock = connectWithRetry(why);
+                lock.lock();
+                if (_closing)
+                    return;
+                if (!sock) {
+                    auto it = _pending.find(out.cell);
+                    if (it == _pending.end())
+                        continue;
+                    Done done = std::move(it->second.done);
+                    _pending.erase(it);
+                    lock.unlock();
+                    CellOutcome o;
+                    o.error = unreachable(why).info();
+                    done(std::move(o));
+                    lock.lock();
+                    continue;
+                }
+                connectedLocked(std::move(sock));
+            }
+            // Tag the cell with its connection before writing, so the
+            // reader's markDownLocked fails it if the link dies at any
+            // point from here on.
+            uint64_t gen = _gen;
+            std::shared_ptr<Socket> sock = _sock;
+            if (!out.cancel) {
+                _pending[out.cell].gen = gen;
+                _cells->inc();
+                _forwarded->inc();
+            }
+            lock.unlock();
+            bool written = true;
+            try {
+                FdTransport t(sock->fd, sock->fd);
+                writeFrame(t, out.payload);
+            } catch (...) {
+                written = false;
+            }
+            sock.reset();
+            lock.lock();
+            if (!written) {
+                Pending failed =
+                    markDownLocked(gen, "write to shard failed");
+                lock.unlock();
+                fail(failed, "write to shard failed");
+                lock.lock();
+            }
+        }
+    }
+
+    /** Retires connection generation @p gen and hands back the cells
+     *  written on it for fail(); queued cells stay for the sender to
+     *  reconnect. A stale generation (reconnect already happened) is
+     *  a no-op, so an old reader's exit can never kill a fresh
+     *  connection. */
+    Pending
     markDownLocked(uint64_t gen, const std::string &why)
     {
-        if (gen != _gen || _fd < 0)
-            return;
-        // Wake the reader blocked in readFrame; the reader owns the
-        // actual close (it may be mid-read on this very fd).
-        ::shutdown(_fd, SHUT_RDWR);
-        _fd = -1;
-        _transport.reset();
-        if (!_pending.empty()) {
+        Pending failed;
+        if (gen != _gen || !_sock)
+            return failed;
+        // Wake the reader blocked in readFrame; the descriptor closes
+        // when the reader (and any write in progress) lets go of it.
+        ::shutdown(_sock->fd, SHUT_RDWR);
+        _sock.reset();
+        for (auto it = _pending.begin(); it != _pending.end();) {
+            if (it->second.gen == gen)
+                failed.insert(_pending.extract(it++));
+            else
+                ++it;
+        }
+        if (!failed.empty()) {
             _downs->inc();
             if (_log.enabled()) {
                 report::Json f = report::Json::object();
                 f["shard"] = uint64_t(_index);
-                f["pending"] = uint64_t(_pending.size());
+                f["pending"] = uint64_t(failed.size());
                 f["why"] = why;
                 _log.event("shard.down", std::move(f));
             }
         }
-        for (auto &[id, pc] : _pending) {
+        return failed;
+    }
+
+    /** Fails @p cells (from markDownLocked) as connection losses;
+     *  called with _mu released. */
+    void
+    fail(Pending &cells, const std::string &why) const
+    {
+        for (auto &[id, w] : cells) {
             CellOutcome out;
-            out.ok = false;
             out.error = unreachable("connection lost (" + why + ")")
                             .info();
-            pc->prom.set_value(std::move(out));
+            w.done(std::move(out));
         }
-        _pending.clear();
+        cells.clear();
     }
 
     void
-    readerLoop(int fd, uint64_t gen)
+    readerLoop(const std::shared_ptr<Socket> &sock, uint64_t gen)
     {
-        FdTransport t(fd, fd);
+        FdTransport t(sock->fd, sock->fd);
         for (;;) {
             FrameResult fr;
             try {
@@ -251,50 +396,58 @@ class Router::ShardLink
             } catch (const std::exception &) {
                 continue;  // unintelligible frame from a shard: skip
             }
-            std::lock_guard<std::mutex> lock(_mu);
-            auto it = _pending.find(f.id);
-            if (it == _pending.end())
-                continue;  // e.g. a relayed cancel's result frame
-            std::shared_ptr<Pending> pc = it->second;
+            Done done;
             CellOutcome out;
-            switch (f.type) {
-              case client::ResponseFrame::Type::Cell:
-                pc->run = std::move(f.run);
-                pc->haveRun = true;
-                continue;  // terminal frame still to come
-              case client::ResponseFrame::Type::Summary: {
-                const report::Json *cache = f.raw.find("cache");
-                if (cache) {
-                    _computed = jsonUInt(*cache, "computed");
-                    _hits = jsonUInt(*cache, "hits");
-                    _diskHits = jsonUInt(*cache, "disk_hits");
-                }
-                _dedup = jsonUInt(f.raw, "dedup_hits");
-                if (pc->haveRun) {
+            {
+                std::lock_guard<std::mutex> lock(_mu);
+                auto it = _pending.find(f.id);
+                if (it == _pending.end())
+                    continue;  // e.g. a relayed cancel's result frame
+                Waiter &w = it->second;
+                switch (f.type) {
+                  case client::ResponseFrame::Type::Cell:
+                    w.run = std::move(f.run);
+                    w.haveRun = true;
+                    continue;  // terminal frame still to come
+                  case client::ResponseFrame::Type::Summary: {
+                    const report::Json *cache = f.raw.find("cache");
+                    if (cache) {
+                        _computed = jsonUInt(*cache, "computed");
+                        _hits = jsonUInt(*cache, "hits");
+                        _diskHits = jsonUInt(*cache, "disk_hits");
+                    }
+                    _dedup = jsonUInt(f.raw, "dedup_hits");
+                    if (w.haveRun) {
+                        out.ok = true;
+                        out.run = std::move(w.run);
+                    } else {
+                        out.error.kind = runtime::ErrorKind::Internal;
+                        out.error.stage = "router";
+                        out.error.detail =
+                            "shard sent a summary without a cell "
+                            "frame";
+                    }
+                    break;
+                  }
+                  case client::ResponseFrame::Type::Result:
                     out.ok = true;
-                    out.run = std::move(pc->run);
-                } else {
-                    out.error.kind = runtime::ErrorKind::Internal;
-                    out.error.stage = "router";
-                    out.error.detail =
-                        "shard sent a summary without a cell frame";
+                    out.result = std::move(f.raw);
+                    break;
+                  case client::ResponseFrame::Type::Error:
+                    out.error = f.error;
+                    break;
                 }
-                break;
-              }
-              case client::ResponseFrame::Type::Result:
-                out.ok = true;
-                out.result = std::move(f.raw);
-                break;
-              case client::ResponseFrame::Type::Error:
-                out.error = f.error;
-                break;
+                done = std::move(w.done);
+                _pending.erase(it);
             }
-            _pending.erase(it);
-            pc->prom.set_value(std::move(out));
+            done(std::move(out));
         }
-        ::close(fd);
-        std::lock_guard<std::mutex> lock(_mu);
-        markDownLocked(gen, "stream ended");
+        Pending failed;
+        {
+            std::lock_guard<std::mutex> lock(_mu);
+            failed = markDownLocked(gen, "stream ended");
+        }
+        fail(failed, "stream ended");
     }
 
     const unsigned _index;
@@ -305,15 +458,18 @@ class Router::ShardLink
     obs::Counter *_cells = nullptr;
     obs::Counter *_downs = nullptr;
     obs::Counter *_connects = nullptr;
+    obs::Counter *_forwarded = nullptr;
 
     mutable std::mutex _mu;
-    int _fd = -1;
-    std::unique_ptr<FdTransport> _transport;
+    std::condition_variable _wake;  ///< Sender: queued or closing.
+    std::deque<Outgoing> _outbox;
+    std::shared_ptr<Socket> _sock;  ///< Null while disconnected.
     uint64_t _gen = 0;
-    bool _failFast = false;
     bool _closing = false;
-    std::map<std::string, std::shared_ptr<Pending>> _pending;
+    Pending _pending;
     std::vector<std::thread> _readers;
+    bool _failFast = false;  ///< Sender thread only.
+    std::thread _sender;
 
     uint64_t _computed = 0;
     uint64_t _hits = 0;
@@ -322,60 +478,16 @@ class Router::ShardLink
 };
 
 Router::Router(RouterConfig cfg)
-    : _cfg(std::move(cfg)), _log(_cfg.logJson)
+    : Frontend(cfg, "router"), _cfg(std::move(cfg))
 {
-    registerMetrics();
+    _cellsFailed = &metrics().counter("router.cells.failed");
+    _cancelsForwarded = &metrics().counter("router.cancels.forwarded");
     for (size_t i = 0; i < _cfg.shards.size(); ++i)
         _links.push_back(std::make_unique<ShardLink>(
-            unsigned(i), _cfg.shards[i], _cfg, _metrics, _log));
+            unsigned(i), _cfg.shards[i], _cfg, metrics(), log()));
 }
 
 Router::~Router() = default;
-
-void
-Router::registerMetrics()
-{
-    _framesIn = &_metrics.counter("router.frames.in");
-    _framesOut = &_metrics.counter("router.frames.out");
-    _reqMalformed = &_metrics.counter("router.requests.malformed");
-    _reqBusy = &_metrics.counter("router.requests.busy");
-    _connAccepted = &_metrics.counter("router.connections.accepted");
-    _connClosed = &_metrics.counter("router.connections.closed");
-    _connErrors = &_metrics.counter("router.connections.errors");
-    _cellsForwarded = &_metrics.counter("router.cells.forwarded");
-    _cellsFailed = &_metrics.counter("router.cells.failed");
-    _cancelsForwarded =
-        &_metrics.counter("router.cancels.forwarded");
-    _requestsInflight = &_metrics.gauge("router.requests.inflight");
-
-    static constexpr RequestKind verbs[] = {
-        RequestKind::Run, RequestKind::Sweep, RequestKind::Trace,
-        RequestKind::Cancel, RequestKind::Stats};
-    for (RequestKind k : verbs)
-        _verbRequests[size_t(k)] = &_metrics.counter(
-            std::string("router.requests.") + verbName(k));
-}
-
-void
-Router::sendFrame(Conn &conn, const report::Json &frame)
-{
-    std::string payload = frame.dump();
-    std::lock_guard<std::mutex> lock(conn.mu);
-    writeFrame(conn.t, payload);
-    _framesOut->inc();
-}
-
-void
-Router::sendError(Conn &conn, const std::string &id,
-                  runtime::ErrorKind kind, const std::string &stage,
-                  const std::string &detail)
-{
-    runtime::StageErrorInfo info;
-    info.kind = kind;
-    info.stage = stage;
-    info.detail = detail;
-    sendFrame(conn, errorFrame(id, info));
-}
 
 unsigned
 Router::shardOf(const report::RunSpec &spec)
@@ -398,20 +510,10 @@ Router::shardOf(const report::RunSpec &spec)
     }
 }
 
-std::shared_ptr<Router::RouterRequest>
-Router::registerRequest(const std::string &id)
+std::string
+Router::nextCellId(char tag)
 {
-    std::lock_guard<std::mutex> lock(_reqMu);
-    auto [it, fresh] =
-        _requests.emplace(id, std::make_shared<RouterRequest>());
-    return fresh ? it->second : nullptr;
-}
-
-void
-Router::unregisterRequest(const std::string &id)
-{
-    std::lock_guard<std::mutex> lock(_reqMu);
-    _requests.erase(id);
+    return tag + std::to_string(_cellSeq.fetch_add(1) + 1);
 }
 
 namespace {
@@ -422,8 +524,8 @@ namespace {
  *  run object is byte-identical to a direct daemon's. The budget is
  *  propagated exactly — zeros included — so shard-side defaults never
  *  alter a routed cell's outcome. */
-client::RequestBuilder
-forwardRequest(const report::RunSpec &spec, const std::string &cell_id,
+std::string
+forwardPayload(const report::RunSpec &spec, const std::string &cell_id,
                bool trace, bool include_trace)
 {
     client::RequestBuilder b =
@@ -436,389 +538,135 @@ forwardRequest(const report::RunSpec &spec, const std::string &cell_id,
         .targets(spec.opts.sel.maxTargets)
         .inOrder(!spec.opts.config.outOfOrder)
         .sizeHeuristic(spec.opts.sel.taskSizeHeuristic)
-        .core(arch::coreModeName(spec.opts.config.coreMode))
         .budgetExact(spec.opts.budget);
     if (trace)
         b.includeTrace(include_trace);
-    return b;
+    return b.payload();
 }
 
-void
-trackCell(Router::RouterRequest &rr, const std::string &cell_id,
-          unsigned shard)
+/** The msc.sweep run object of a cell that failed with @p info. */
+report::Json
+failedRun(const report::RunSpec &spec,
+          const runtime::StageErrorInfo &info)
 {
-    std::lock_guard<std::mutex> lock(rr.mu);
-    rr.outstanding.emplace_back(cell_id, shard);
-}
-
-void
-untrackCell(Router::RouterRequest &rr, const std::string &cell_id)
-{
-    std::lock_guard<std::mutex> lock(rr.mu);
-    for (auto it = rr.outstanding.begin();
-         it != rr.outstanding.end(); ++it) {
-        if (it->first == cell_id) {
-            rr.outstanding.erase(it);
-            return;
-        }
-    }
+    return report::runToJson(errorRecord(
+        spec, std::make_exception_ptr(runtime::StageError(info))));
 }
 
 } // anonymous namespace
 
 void
-Router::runForward(Conn &conn, const Request &req,
-                   const std::shared_ptr<RouterRequest> &rr,
-                   const std::string &rid)
+Router::start(const std::shared_ptr<Call> &call)
 {
-    struct Slot
-    {
-        unsigned shard = 0;
-        std::string cellId;
-        std::future<CellOutcome> fut;
-        bool forwarded = false;
-        report::Json localRun;  // non-null: resolved without a shard
-    };
+    const Request &req = call->request();
+    if (req.kind == RequestKind::Trace) {
+        forwardTrace(call);
+        return;
+    }
 
+    // Per-shard cell counts for the summary, filled as cells are
+    // routed; the summary is built only after the last cell completes,
+    // which cannot happen before that cell was counted.
+    auto shardCells =
+        std::make_shared<std::vector<uint64_t>>(_links.size(), 0);
+    auto stream = std::make_shared<CellStream>(
+        call, [this, id = req.id, shardCells](
+                  const std::vector<std::string> &statuses) {
+            uint64_t computed = 0, hits = 0, disk = 0, dedup = 0;
+            for (const auto &link : _links) {
+                uint64_t c, h, d, dd;
+                link->counters(c, h, d, dd);
+                computed += c;
+                hits += h;
+                disk += d;
+                dedup += dd;
+            }
+            report::Json cache = report::Json::object();
+            cache["computed"] = computed;
+            cache["hits"] = hits;
+            cache["disk_hits"] = disk;
+            return routedSummaryFrame(id, statuses, cache, dedup,
+                                      *shardCells);
+        });
+
+    // Fan every cell out; each is an independent single-cell request
+    // that the shard's own dispatcher pools and dedups, and the
+    // stream puts the answers back in grid order.
     size_t n = req.specs.size();
-    std::vector<Slot> slots(n);
-
-    // Fan out first, collect second: cells pipeline on their shards
-    // concurrently (each is an independent single-cell request; the
-    // shard's own dispatcher pools and dedups them).
     for (size_t i = 0; i < n; ++i) {
         const report::RunSpec &spec = req.specs[i];
-        Slot &s = slots[i];
-        s.shard = shardOf(spec);
-        if (rr->cancelled.load()) {
-            s.localRun = report::runToJson(errorRecord(
-                spec, std::make_exception_ptr(runtime::StageError(
-                          runtime::ErrorKind::Cancelled, "router",
-                          "request cancelled before dispatch"))));
+        int shard = int(shardOf(spec));
+        ++(*shardCells)[shard];
+        if (call->cancelled()) {
+            stream->complete(
+                i,
+                failedRun(spec, runtime::StageError(
+                                    runtime::ErrorKind::Cancelled,
+                                    "router",
+                                    "request cancelled before dispatch")
+                                    .info()),
+                shard);
             continue;
         }
-        s.cellId = "c" + std::to_string(_cellSeq.fetch_add(1) + 1);
-        std::string payload =
-            forwardRequest(spec, s.cellId, false, false).payload();
+        std::string cellId = nextCellId('c');
         try {
-            s.fut = _links[s.shard]->forward(s.cellId, payload);
-            s.forwarded = true;
-            _cellsForwarded->inc();
-            trackCell(*rr, s.cellId, s.shard);
+            _links[shard]->forward(
+                cellId, forwardPayload(spec, cellId, false, false),
+                call.get(),
+                [this, call, stream, i, shard](CellOutcome out) {
+                    if (out.ok) {
+                        stream->complete(i, std::move(out.run), shard);
+                        return;
+                    }
+                    _cellsFailed->inc();
+                    stream->complete(
+                        i, failedRun(call->request().specs[i], out.error),
+                        shard);
+                });
         } catch (const runtime::StageError &e) {
             _cellsFailed->inc();
-            s.localRun = report::runToJson(
-                errorRecord(spec, std::make_exception_ptr(e)));
+            stream->complete(i, failedRun(spec, e.info()), shard);
         }
     }
-
-    // Stream in grid order regardless of completion order — the same
-    // determinism contract as the single daemon's reader loop.
-    std::vector<std::string> statuses;
-    statuses.reserve(n);
-    std::vector<uint64_t> shardCells(_links.size(), 0);
-    for (size_t i = 0; i < n; ++i) {
-        Slot &s = slots[i];
-        report::Json run;
-        if (!s.forwarded) {
-            run = std::move(s.localRun);
-        } else {
-            CellOutcome out = s.fut.get();
-            untrackCell(*rr, s.cellId);
-            if (out.ok) {
-                run = std::move(out.run);
-            } else {
-                _cellsFailed->inc();
-                run = report::runToJson(errorRecord(
-                    req.specs[i],
-                    std::make_exception_ptr(
-                        runtime::StageError(out.error))));
-            }
-        }
-        const report::Json *status = run.find("status");
-        statuses.push_back(
-            status && status->kind() == report::Json::Kind::String
-                ? status->asString()
-                : std::string("error"));
-        shardCells[s.shard] += 1;
-        sendFrame(conn, cellFrame(req.id, i, n, std::move(run),
-                                  int(s.shard)));
-    }
-
-    uint64_t computed = 0, hits = 0, disk = 0, dedup = 0;
-    for (const auto &link : _links) {
-        uint64_t c, h, d, dd;
-        link->counters(c, h, d, dd);
-        computed += c;
-        hits += h;
-        disk += d;
-        dedup += dd;
-    }
-    report::Json cache = report::Json::object();
-    cache["computed"] = computed;
-    cache["hits"] = hits;
-    cache["disk_hits"] = disk;
-    sendFrame(conn, routedSummaryFrame(req.id, statuses, cache, dedup,
-                                       shardCells));
-    if (_log.enabled()) {
-        size_t failed = 0;
-        for (const auto &st : statuses)
-            failed += st != "ok";
-        report::Json f = report::Json::object();
-        f["rid"] = rid;
-        f["cells"] = uint64_t(n);
-        f["failed"] = uint64_t(failed);
-        _log.event("request.done", std::move(f));
-    }
+    call->dispatched(n);
 }
 
 void
-Router::runTraceForward(Conn &conn, const Request &req,
-                        const std::shared_ptr<RouterRequest> &rr)
+Router::forwardTrace(const std::shared_ptr<Call> &call)
 {
-    const report::RunSpec &spec = req.specs.at(0);
-    unsigned shard = shardOf(spec);
-    std::string cellId =
-        "c" + std::to_string(_cellSeq.fetch_add(1) + 1);
-    std::string payload =
-        forwardRequest(spec, cellId, true, req.includeTrace)
-            .payload();
-
-    CellOutcome out;
+    const report::RunSpec &spec = call->request().specs.at(0);
+    std::string cellId = nextCellId('c');
     try {
-        std::future<CellOutcome> fut =
-            _links[shard]->forward(cellId, payload);
-        _cellsForwarded->inc();
-        trackCell(*rr, cellId, shard);
-        out = fut.get();
-        untrackCell(*rr, cellId);
-    } catch (const runtime::StageError &e) {
+        _links[shardOf(spec)]->forward(
+            cellId,
+            forwardPayload(spec, cellId, true,
+                           call->request().includeTrace),
+            call.get(), [this, call](CellOutcome out) {
+                if (!out.ok) {
+                    _cellsFailed->inc();
+                    call->finish(
+                        errorFrame(call->request().id, out.error));
+                    return;
+                }
+                // Relay the shard's result frame verbatim under the
+                // client's id.
+                out.result["id"] = call->request().id;
+                call->finish(out.result);
+            });
+    } catch (const runtime::StageError &) {
         _cellsFailed->inc();
-        sendFrame(conn, errorFrame(req.id, e.info()));
-        return;
+        throw;
     }
-    if (!out.ok) {
-        _cellsFailed->inc();
-        sendFrame(conn, errorFrame(req.id, out.error));
-        return;
-    }
-    // Relay the shard's result frame verbatim under the client's id.
-    out.result["id"] = req.id;
-    sendFrame(conn, out.result);
 }
 
 void
-Router::handleCancel(Conn &conn, const Request &req)
+Router::cancel(Call &call)
 {
-    std::shared_ptr<RouterRequest> rr;
-    {
-        std::lock_guard<std::mutex> lock(_reqMu);
-        auto it = _requests.find(req.target);
-        if (it != _requests.end())
-            rr = it->second;
-    }
-    if (rr) {
-        rr->cancelled.store(true);
-        std::vector<std::pair<std::string, unsigned>> outstanding;
-        {
-            std::lock_guard<std::mutex> lock(rr->mu);
-            outstanding = rr->outstanding;
-        }
-        for (const auto &[cellId, shard] : outstanding) {
-            _links[shard]->sendCancel(
-                "x" + std::to_string(_cellSeq.fetch_add(1) + 1),
-                cellId);
+    for (const auto &link : _links)
+        for (const std::string &cell : link->cellsOf(&call)) {
+            link->sendCancel(nextCellId('x'), cell);
             _cancelsForwarded->inc();
         }
-    }
-    sendFrame(conn,
-              cancelResultFrame(req.id, req.target, rr != nullptr));
-}
-
-void
-Router::serveConnection(Transport &t)
-{
-    Conn conn{t, _connSeq.fetch_add(1) + 1};
-    _connAccepted->inc();
-    if (_log.enabled()) {
-        report::Json f = report::Json::object();
-        f["conn"] = conn.id;
-        _log.event("conn.open", std::move(f));
-    }
-
-    std::vector<std::thread> inflight;
-
-    while (true) {
-        FrameResult fr = readFrame(t, _cfg.maxFrame);
-        if (fr.status == FrameStatus::Eof)
-            break;
-        if (fr.status == FrameStatus::Truncated) {
-            try {
-                sendError(conn, "", runtime::ErrorKind::InvalidInput,
-                          "protocol",
-                          "truncated frame: stream ended inside a "
-                          "frame");
-            } catch (...) {
-            }
-            break;
-        }
-        if (fr.status == FrameStatus::Oversize) {
-            sendError(conn, "", runtime::ErrorKind::InvalidInput,
-                      "protocol",
-                      "frame length " + std::to_string(fr.declared) +
-                          " exceeds maximum " +
-                          std::to_string(_cfg.maxFrame));
-            continue;
-        }
-        _framesIn->inc();
-
-        Request req;
-        try {
-            req = parseRequest(fr.payload, _cfg.defaults);
-        } catch (const runtime::StageError &e) {
-            _reqMalformed->inc();
-            sendFrame(conn, errorFrame(extractRequestId(fr.payload),
-                                       e.info()));
-            continue;
-        }
-
-        std::string rid =
-            "r" + std::to_string(_reqSeq.fetch_add(1) + 1);
-        _verbRequests[size_t(req.kind)]->inc();
-        if (_log.enabled()) {
-            report::Json f = report::Json::object();
-            f["conn"] = conn.id;
-            f["rid"] = rid;
-            f["req"] = req.id;
-            f["verb"] = verbName(req.kind);
-            if (!req.specs.empty())
-                f["cells"] = uint64_t(req.specs.size());
-            _log.event("request.start", std::move(f));
-        }
-
-        if (req.kind == RequestKind::Cancel) {
-            handleCancel(conn, req);
-            continue;
-        }
-        if (req.kind == RequestKind::Stats) {
-            sendFrame(conn,
-                      req.statsFormat == StatsFormat::Prometheus
-                          ? statsResultFramePrometheus(
-                                req.id, _metrics.toPrometheus())
-                          : statsResultFrame(req.id,
-                                             _metrics.toJson()));
-            continue;
-        }
-
-        // Backpressure: the ServerConfig::maxInflight contract,
-        // enforced at the router so a saturated shard fleet refuses
-        // (never queues unboundedly, never drops) excess requests.
-        if (_cfg.maxInflight &&
-            conn.active.load() >= _cfg.maxInflight) {
-            _reqBusy->inc();
-            sendError(conn, req.id, runtime::ErrorKind::Busy,
-                      "server",
-                      "connection has " +
-                          std::to_string(conn.active.load()) +
-                          " requests in flight (bound " +
-                          std::to_string(_cfg.maxInflight) +
-                          "); retry after a terminal frame");
-            continue;
-        }
-
-        auto rr = registerRequest(req.id);
-        if (!rr) {
-            sendError(conn, req.id, runtime::ErrorKind::InvalidInput,
-                      "protocol",
-                      "duplicate request id: \"" + req.id +
-                          "\" is already in flight");
-            continue;
-        }
-        _requestsInflight->add(1);
-        conn.active.fetch_add(1);
-        inflight.emplace_back([this, &conn, req = std::move(req), rr,
-                               rid] {
-            try {
-                if (req.kind == RequestKind::Trace)
-                    runTraceForward(conn, req, rr);
-                else
-                    runForward(conn, req, rr, rid);
-            } catch (const runtime::StageError &e) {
-                try {
-                    sendFrame(conn, errorFrame(req.id, e.info()));
-                } catch (...) {
-                }
-            } catch (const std::exception &e) {
-                try {
-                    sendError(conn, req.id,
-                              runtime::ErrorKind::Internal, "router",
-                              e.what());
-                } catch (...) {
-                }
-            }
-            unregisterRequest(req.id);
-            _requestsInflight->add(-1);
-            conn.active.fetch_sub(1);
-        });
-    }
-
-    for (auto &th : inflight)
-        th.join();
-
-    _connClosed->inc();
-    if (_log.enabled()) {
-        report::Json f = report::Json::object();
-        f["conn"] = conn.id;
-        _log.event("conn.close", std::move(f));
-    }
-}
-
-int
-Router::serveUnix(const std::string &path)
-{
-    int fd = bindUnix(path, "mscd-router");
-    if (fd < 0)
-        return 1;
-    int rc = _accept.run(fd, [this](int c) {
-        FdTransport t(c, c);
-        try {
-            serveConnection(t);
-        } catch (const std::exception &e) {
-            _connErrors->inc();
-            std::fprintf(stderr,
-                         "mscd-router: connection error: %s\n",
-                         e.what());
-        }
-        ::close(c);
-    });
-    ::unlink(path.c_str());
-    return rc;
-}
-
-int
-Router::serveTcp(uint16_t port)
-{
-    int fd = bindTcp(port, "mscd-router");
-    if (fd < 0)
-        return 1;
-    return _accept.run(fd, [this](int c) {
-        FdTransport t(c, c);
-        try {
-            serveConnection(t);
-        } catch (const std::exception &e) {
-            _connErrors->inc();
-            std::fprintf(stderr,
-                         "mscd-router: connection error: %s\n",
-                         e.what());
-        }
-        ::close(c);
-    });
-}
-
-void
-Router::requestStop()
-{
-    _accept.requestStop();
 }
 
 } // namespace serve

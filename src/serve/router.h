@@ -26,56 +26,43 @@
  * cannot be reached (connect retry with backoff exhausted) or dies
  * mid-sweep fails only the cells assigned to it — each becomes an
  * `io` error record, the sweep completes `partial` with exit code 3,
- * and the other shards' cells are unaffected. Connection-level
- * backpressure (ServerConfig::maxInflight semantics) refuses pooled
- * requests past the bound with structured `busy` error frames.
+ * and the other shards' cells are unaffected.
  *
- * Telemetry: the router owns its own MetricsRegistry (`router.*`
- * names, per-shard `router.shard.N.*` — docs/OBSERVABILITY.md); its
- * `stats` verb serves that registry, while each shard's `stats` verb
- * still serves the shard's own.
+ * The router is the second daemon shape behind the shared
+ * serve::Frontend (frontend.h), which owns client connections,
+ * framing errors, the inline verbs, backpressure and the `router.*`
+ * front-end telemetry. What is left here is forwarding: start()
+ * routes every cell on the reader thread and queues it on its shard
+ * link, never touching a shard socket there. Each link has one
+ * sender thread (connect with retry/backoff, then write the queued
+ * frames in order) and one reader thread per connection, which
+ * demultiplexes answers by id into the cells' callbacks (these only
+ * queue frames, through the same CellStream as the daemon's).
+ * cancel() relays a cancel for every cell the request still has in
+ * flight. The router's `stats` verb serves its own registry, adding
+ * `router.cells.*`, `router.cancels.forwarded` and per-shard
+ * `router.shard.N.*` (docs/OBSERVABILITY.md); each shard's `stats`
+ * verb still serves the shard's own.
  */
 
 #pragma once
 
 #include <atomic>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "client/endpoint.h"
-#include "obs/metrics.h"
-#include "obs/slog.h"
 #include "pipeline/pool.h"
-#include "serve/frame.h"
-#include "serve/listen.h"
-#include "serve/protocol.h"
+#include "serve/frontend.h"
 
 namespace msc {
 namespace serve {
 
-struct RouterConfig
+struct RouterConfig : FrontendConfig
 {
     /** Downstream shard daemons, in shard-index order. */
     std::vector<client::Endpoint> shards;
-
-    /** Per-request defaults (budget) merged during parsing, then
-     *  propagated explicitly to shards — a shard's own defaults never
-     *  leak into routed cells. */
-    RequestDefaults defaults;
-
-    /** Inbound frame-size cap (client side; shard links always use
-     *  the protocol default). */
-    uint32_t maxFrame = DEFAULT_MAX_FRAME;
-
-    /** Per-connection pooled-request bound; 0 = unlimited (same
-     *  semantics as ServerConfig::maxInflight). */
-    unsigned maxInflight = 0;
-
-    /** Structured JSON request logs on stderr (docs/OBSERVABILITY.md). */
-    bool logJson = false;
 
     /** Connect retry policy per shard: up to @p connectAttempts
      *  attempts, sleeping attempt * connectBackoffMs between them.
@@ -85,7 +72,7 @@ struct RouterConfig
     unsigned connectBackoffMs = 20;
 };
 
-class Router
+class Router final : public Frontend
 {
   public:
     explicit Router(RouterConfig cfg);
@@ -93,56 +80,14 @@ class Router
     /** Joins every shard link's reader thread. */
     ~Router();
 
-    Router(const Router &) = delete;
-    Router &operator=(const Router &) = delete;
-
-    /** Serves one client connection until end-of-stream; blocking.
-     *  Safe to call from multiple threads (one per connection). */
-    void serveConnection(Transport &t);
-
-    /// @name Listener front-ends (serve/listen.h shapes).
-    /// @{
-    int serveUnix(const std::string &path);
-    int serveTcp(uint16_t port);
-    void requestStop();
-    /// @}
-
     size_t shardCount() const { return _links.size(); }
-
-    /** The router's own telemetry registry (what its `stats` verb
-     *  snapshots). */
-    obs::MetricsRegistry &metrics() { return _metrics; }
-
-    /** Cancellation bookkeeping for one pooled client request:
-     *  cells currently in flight on shards, so a `cancel` verb can be
-     *  fanned out to exactly the shards holding them. */
-    struct RouterRequest
-    {
-        std::atomic<bool> cancelled{false};
-        std::mutex mu;
-        /** router-minted cell id -> shard index. */
-        std::vector<std::pair<std::string, unsigned>> outstanding;
-    };
 
   private:
     class ShardLink;
 
-    /** One client connection's shared write end + backpressure state
-     *  (the Server::Conn shape). */
-    struct Conn
-    {
-        Conn(Transport &tr, uint64_t n) : t(tr), id(n) {}
-        Transport &t;
-        uint64_t id;
-        std::mutex mu;
-        std::atomic<unsigned> active{0};
-    };
-
-    void registerMetrics();
-    void sendFrame(Conn &conn, const report::Json &frame);
-    void sendError(Conn &conn, const std::string &id,
-                   runtime::ErrorKind kind, const std::string &stage,
-                   const std::string &detail);
+    void start(const std::shared_ptr<Call> &call) override;
+    void cancel(Call &call) override;
+    void forwardTrace(const std::shared_ptr<Call> &call);
 
     /** Shard index for @p spec: Simulate stageKey % N (budget
      *  excluded — artifacts are budget-independent, so budget
@@ -151,36 +96,13 @@ class Router
      *  name hash; every shard reports the identical error record. */
     unsigned shardOf(const report::RunSpec &spec);
 
-    void runForward(Conn &conn, const Request &req,
-                    const std::shared_ptr<RouterRequest> &rr,
-                    const std::string &rid);
-    void runTraceForward(Conn &conn, const Request &req,
-                         const std::shared_ptr<RouterRequest> &rr);
-    void handleCancel(Conn &conn, const Request &req);
-
-    std::shared_ptr<RouterRequest>
-    registerRequest(const std::string &id);
-    void unregisterRequest(const std::string &id);
+    std::string nextCellId(char tag);
 
     RouterConfig _cfg;
-    obs::MetricsRegistry _metrics;
-    obs::JsonLogger _log;
 
-    obs::Counter *_framesIn = nullptr;
-    obs::Counter *_framesOut = nullptr;
-    obs::Counter *_reqMalformed = nullptr;
-    obs::Counter *_reqBusy = nullptr;
-    obs::Counter *_connAccepted = nullptr;
-    obs::Counter *_connClosed = nullptr;
-    obs::Counter *_connErrors = nullptr;
-    obs::Counter *_verbRequests[5] = {};
-    obs::Counter *_cellsForwarded = nullptr;
     obs::Counter *_cellsFailed = nullptr;
     obs::Counter *_cancelsForwarded = nullptr;
-    obs::Gauge *_requestsInflight = nullptr;
 
-    std::atomic<uint64_t> _reqSeq{0};
-    std::atomic<uint64_t> _connSeq{0};
     std::atomic<uint64_t> _cellSeq{0};
 
     /** Key-only pool: Sessions here just build + print the workload
@@ -189,11 +111,6 @@ class Router
     pipeline::SessionPool _keys;
 
     std::vector<std::unique_ptr<ShardLink>> _links;
-
-    std::mutex _reqMu;
-    std::map<std::string, std::shared_ptr<RouterRequest>> _requests;
-
-    AcceptLoop _accept;
 };
 
 } // namespace serve

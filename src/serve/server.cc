@@ -1,15 +1,8 @@
 #include "serve/server.h"
 
-#include <cstdio>
-#include <thread>
-#include <vector>
-
-#include <unistd.h>
-
 #include "obs/perfetto.h"
 #include "obs/taskprof.h"
 #include "obs/tracesink.h"
-#include "runtime/error.h"
 #include "workloads/workload.h"
 
 namespace msc {
@@ -31,191 +24,57 @@ withTelemetry(Dispatcher::Config cfg, obs::MetricsRegistry *metrics,
 } // anonymous namespace
 
 Server::Server(ServerConfig cfg)
-    : _cfg(std::move(cfg)), _log(_cfg.logJson),
-      _dispatch(withTelemetry(_cfg.dispatch, &_metrics, &_log))
-{
-    registerMetrics();
-}
+    : Frontend(cfg, "mscd"),
+      _dispatch(withTelemetry(std::move(cfg.dispatch), &metrics(),
+                              &log()))
+{}
 
 void
-Server::registerMetrics()
+Server::start(const std::shared_ptr<Call> &call)
 {
-    _framesIn = &_metrics.counter("mscd.frames.in");
-    _framesOut = &_metrics.counter("mscd.frames.out");
-    _framesTruncated = &_metrics.counter("mscd.frames.truncated");
-    _framesOversize = &_metrics.counter("mscd.frames.oversize");
-    _reqMalformed = &_metrics.counter("mscd.requests.malformed");
-    _reqBusy = &_metrics.counter("mscd.requests.busy");
-    _connAccepted = &_metrics.counter("mscd.connections.accepted");
-    _connClosed = &_metrics.counter("mscd.connections.closed");
-    _connErrors = &_metrics.counter("mscd.connections.errors");
-    _requestsInflight = &_metrics.gauge("mscd.requests.inflight");
-
-    static constexpr RequestKind verbs[] = {
-        RequestKind::Run, RequestKind::Sweep, RequestKind::Trace,
-        RequestKind::Cancel, RequestKind::Stats};
-    for (RequestKind k : verbs) {
-        VerbMetrics &vm = verbMetrics(k);
-        std::string verb = verbName(k);
-        vm.requests = &_metrics.counter("mscd.requests." + verb);
-        std::string base = "mscd.latency." + verb + ".";
-        bool pooled =
-            k == RequestKind::Run || k == RequestKind::Sweep;
-        if (pooled)
-            vm.dispatchUs = &_metrics.histogram(base + "dispatch_us");
-        if (pooled || k == RequestKind::Trace)
-            vm.firstFrameUs =
-                &_metrics.histogram(base + "first_frame_us");
-        vm.doneUs = &_metrics.histogram(base + "done_us");
+    const Request &req = call->request();
+    if (req.kind == RequestKind::Trace) {
+        _dispatch.post([this, call] {
+            try {
+                runTrace(*call);
+            } catch (...) {
+                call->fail(std::current_exception());
+            }
+        });
+        return;
     }
-}
 
-uint64_t
-Server::sinceUs(Clock::time_point t0)
-{
-    return uint64_t(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            Clock::now() - t0)
-            .count());
-}
-
-void
-Server::sendFrame(Conn &conn, const report::Json &frame)
-{
-    std::string payload = frame.dump();
-    std::lock_guard<std::mutex> lock(conn.mu);
-    writeFrame(conn.t, payload);
-    _framesOut->inc();
-}
-
-void
-Server::sendError(Conn &conn, const std::string &id,
-                  runtime::ErrorKind kind, const std::string &detail)
-{
-    runtime::StageErrorInfo info;
-    info.kind = kind;
-    info.stage = "protocol";
-    info.detail = detail;
-    sendFrame(conn, errorFrame(id, info));
-}
-
-void
-Server::runRequest(Conn &conn, const Request &req,
-                   const std::shared_ptr<runtime::CancelToken> &token,
-                   const std::string &rid, Clock::time_point t0)
-{
-    VerbMetrics &vm = verbMetrics(req.kind);
-    try {
-        if (req.kind == RequestKind::Trace) {
-            runTrace(conn, req, token, t0);
-            vm.doneUs->observe(sinceUs(t0));
-            if (_log.enabled()) {
-                report::Json f = report::Json::object();
-                f["rid"] = rid;
-                f["status"] = "ok";
-                f["dur_us"] = sinceUs(t0);
-                _log.event("request.done", std::move(f));
-            }
-        } else {
-            std::vector<std::shared_future<report::RunRecord>> futs;
-            futs.reserve(req.specs.size());
-            for (const auto &spec : req.specs)
-                futs.push_back(
-                    _dispatch.submit(spec, token.get(), rid));
-            vm.dispatchUs->observe(sinceUs(t0));
-            if (_log.enabled()) {
-                report::Json f = report::Json::object();
-                f["rid"] = rid;
-                f["cells"] = uint64_t(futs.size());
-                f["dur_us"] = sinceUs(t0);
-                _log.event("request.dispatch", std::move(f));
-            }
-
-            // Stream cells in input order (the same order msctool
-            // sweep prints and serializes) regardless of completion
-            // order, so responses are deterministic for any worker
-            // count.
-            std::vector<report::RunRecord> records;
-            records.reserve(futs.size());
-            for (size_t i = 0; i < futs.size(); ++i) {
-                report::RunRecord rec = futs[i].get();
-                sendFrame(conn,
-                          cellFrame(req.id, i, futs.size(),
-                                    report::runToJson(rec)));
-                if (i == 0) {
-                    vm.firstFrameUs->observe(sinceUs(t0));
-                    if (_log.enabled()) {
-                        report::Json f = report::Json::object();
-                        f["rid"] = rid;
-                        f["dur_us"] = sinceUs(t0);
-                        _log.event("request.first_frame",
-                                   std::move(f));
-                    }
-                }
-                records.push_back(std::move(rec));
-            }
+    auto stream = std::make_shared<CellStream>(
+        call, [this, id = req.id](const std::vector<std::string> &st) {
             // One consistent capture for the summary counters — not
             // two sequential reads racing concurrent requests.
             ServiceSnapshot snap = _dispatch.snapshot();
-            sendFrame(conn, summaryFrame(req.id, records, snap.cache,
-                                         snap.dispatch.dedupHits));
-            vm.doneUs->observe(sinceUs(t0));
-            if (_log.enabled()) {
-                int exit_code = report::sweepExitCode(records);
-                report::Json f = report::Json::object();
-                f["rid"] = rid;
-                f["status"] = report::sweepStatusName(exit_code);
-                f["cells"] = uint64_t(records.size());
-                f["dur_us"] = sinceUs(t0);
-                _log.event("request.done", std::move(f));
-            }
-        }
-    } catch (const runtime::StageError &e) {
-        if (_log.enabled()) {
-            report::Json f = report::Json::object();
-            f["rid"] = rid;
-            f["error_kind"] = runtime::errorKindId(e.info().kind);
-            _log.event("request.error", std::move(f));
-        }
-        try {
-            sendFrame(conn, errorFrame(req.id, e.info()));
-        } catch (...) {
-            // Write end is gone; nothing left to report to.
-        }
-    } catch (const std::exception &e) {
-        if (_log.enabled()) {
-            report::Json f = report::Json::object();
-            f["rid"] = rid;
-            f["error_kind"] = "internal";
-            _log.event("request.error", std::move(f));
-        }
-        try {
-            sendError(conn, req.id, runtime::ErrorKind::Internal,
-                      e.what());
-        } catch (...) {
-        }
-    }
-    _dispatch.unregisterRequest(req.id);
-    _requestsInflight->add(-1);
-    conn.active.fetch_sub(1);
+            return summaryFrame(id, st, snap.cache,
+                                snap.dispatch.dedupHits);
+        });
+    for (size_t i = 0; i < req.specs.size(); ++i)
+        _dispatch.submit(req.specs[i], call->cancelToken(), call->rid(),
+                         [stream, i](const report::RunRecord &rec) {
+                             stream->complete(i,
+                                              report::runToJson(rec));
+                         });
+    call->dispatched(req.specs.size());
 }
 
 void
-Server::runTrace(Conn &conn, const Request &req,
-                 const std::shared_ptr<runtime::CancelToken> &token,
-                 Clock::time_point t0)
+Server::runTrace(Call &call)
 {
-    // Trace cells bypass the worker pool and dedup: a sink is a side
-    // effect, so pipeline::Session already bypasses the simulate
-    // memo for them — coalescing two trace requests would lose one
-    // request's event stream.
-    report::RunSpec spec = req.specs.at(0);
+    // Trace cells bypass dedup: a sink is a side effect, so
+    // pipeline::Session already bypasses the simulate memo for them —
+    // coalescing two trace requests would lose one request's event
+    // stream.
+    report::RunSpec spec = call.request().specs.at(0);
     obs::PerfettoTraceWriter writer(spec.opts.config.numPUs,
                                     spec.workload);
     obs::TaskProfiler prof;
     obs::TeeSink tee({&writer, &prof});
     spec.opts.sink = &tee;
-    spec.opts.cancel = token.get();
+    spec.opts.cancel = call.cancelToken();
 
     auto session =
         _dispatch.pool().session(report::sessionKey(spec), [&] {
@@ -227,239 +86,13 @@ Server::runTrace(Conn &conn, const Request &req,
     rec.spec.opts.cancel = nullptr;
 
     report::Json trace;
-    if (req.includeTrace)
+    if (call.request().includeTrace)
         trace = writer.toJson();
-    verbMetrics(RequestKind::Trace)
-        .firstFrameUs->observe(sinceUs(t0));
-    sendFrame(conn,
-              traceResultFrame(
-                  req.id, report::runToJson(rec),
-                  obs::taskProfileToJson(prof, res.partition->partition,
-                                         spec.workload),
-                  std::move(trace)));
-}
-
-void
-Server::serveConnection(Transport &t)
-{
-    Conn conn{t, _connSeq.fetch_add(1) + 1};
-    _connAccepted->inc();
-    if (_log.enabled()) {
-        report::Json f = report::Json::object();
-        f["conn"] = conn.id;
-        _log.event("conn.open", std::move(f));
-    }
-
-    std::vector<std::thread> inflight;
-
-    while (true) {
-        FrameResult fr = readFrame(t, _cfg.maxFrame);
-        Clock::time_point t0 = Clock::now();
-        if (fr.status == FrameStatus::Eof)
-            break;
-        if (fr.status == FrameStatus::Truncated) {
-            _framesTruncated->inc();
-            if (_log.enabled()) {
-                report::Json f = report::Json::object();
-                f["conn"] = conn.id;
-                f["kind"] = "truncated";
-                _log.event("frame.error", std::move(f));
-            }
-            // The peer still gets a structured reply before the
-            // (already half-closed) connection winds down.
-            try {
-                sendError(conn, "", runtime::ErrorKind::InvalidInput,
-                          "truncated frame: stream ended inside a "
-                          "frame");
-            } catch (...) {
-            }
-            break;
-        }
-        if (fr.status == FrameStatus::Oversize) {
-            _framesOversize->inc();
-            if (_log.enabled()) {
-                report::Json f = report::Json::object();
-                f["conn"] = conn.id;
-                f["kind"] = "oversize";
-                f["declared"] = fr.declared;
-                _log.event("frame.error", std::move(f));
-            }
-            sendError(conn, "", runtime::ErrorKind::InvalidInput,
-                      "frame length " + std::to_string(fr.declared) +
-                          " exceeds maximum " +
-                          std::to_string(_cfg.maxFrame));
-            continue;
-        }
-        _framesIn->inc();
-
-        Request req;
-        try {
-            req = parseRequest(fr.payload, _cfg.defaults);
-        } catch (const runtime::StageError &e) {
-            _reqMalformed->inc();
-            if (_log.enabled()) {
-                report::Json f = report::Json::object();
-                f["conn"] = conn.id;
-                f["kind"] = "malformed";
-                _log.event("frame.error", std::move(f));
-            }
-            sendFrame(conn, errorFrame(extractRequestId(fr.payload),
-                                       e.info()));
-            continue;
-        }
-
-        // The RequestId: minted per well-formed frame, in arrival
-        // order, before any handling — so per-verb counters are
-        // deterministic with respect to a later stats snapshot on
-        // the same connection.
-        std::string rid =
-            "r" + std::to_string(_reqSeq.fetch_add(1) + 1);
-        VerbMetrics &vm = verbMetrics(req.kind);
-        vm.requests->inc();
-        if (_log.enabled()) {
-            report::Json f = report::Json::object();
-            f["conn"] = conn.id;
-            f["rid"] = rid;
-            f["req"] = req.id;
-            f["verb"] = verbName(req.kind);
-            if (!req.specs.empty())
-                f["cells"] = uint64_t(req.specs.size());
-            _log.event("request.start", std::move(f));
-        }
-
-        if (req.kind == RequestKind::Cancel) {
-            // Inline on the reader thread so it can reach a request
-            // in flight on this very connection.
-            bool found = _dispatch.cancelRequest(req.target);
-            sendFrame(conn,
-                      cancelResultFrame(req.id, req.target, found));
-            vm.doneUs->observe(sinceUs(t0));
-            if (_log.enabled()) {
-                report::Json f = report::Json::object();
-                f["rid"] = rid;
-                f["target"] = req.target;
-                f["found"] = found;
-                f["dur_us"] = sinceUs(t0);
-                _log.event("request.done", std::move(f));
-            }
-            continue;
-        }
-
-        if (req.kind == RequestKind::Stats) {
-            // Inline too: a telemetry probe must not queue behind the
-            // work it observes. The verb counter above is already
-            // incremented, so the snapshot counts this request —
-            // deterministic for byte-exact test assertions.
-            sendFrame(conn,
-                      req.statsFormat == StatsFormat::Prometheus
-                          ? statsResultFramePrometheus(
-                                req.id, _metrics.toPrometheus())
-                          : statsResultFrame(req.id,
-                                             _metrics.toJson()));
-            vm.doneUs->observe(sinceUs(t0));
-            if (_log.enabled()) {
-                report::Json f = report::Json::object();
-                f["rid"] = rid;
-                f["dur_us"] = sinceUs(t0);
-                _log.event("request.done", std::move(f));
-            }
-            continue;
-        }
-
-        // Backpressure: refuse (never drop) pooled requests past the
-        // per-connection bound. `active` only moves on this thread or
-        // downward in runRequest, so a peer that waits for terminal
-        // frames is never spuriously refused.
-        if (_cfg.maxInflight &&
-            conn.active.load() >= _cfg.maxInflight) {
-            _reqBusy->inc();
-            if (_log.enabled()) {
-                report::Json f = report::Json::object();
-                f["rid"] = rid;
-                f["inflight"] = uint64_t(conn.active.load());
-                _log.event("request.busy", std::move(f));
-            }
-            runtime::StageErrorInfo info;
-            info.kind = runtime::ErrorKind::Busy;
-            info.stage = "server";
-            info.detail =
-                "connection has " +
-                std::to_string(conn.active.load()) +
-                " requests in flight (bound " +
-                std::to_string(_cfg.maxInflight) +
-                "); retry after a terminal frame";
-            sendFrame(conn, errorFrame(req.id, info));
-            continue;
-        }
-
-        // Register before spawning: a cancel frame that follows this
-        // one on the wire is guaranteed to see the id.
-        auto token = _dispatch.registerRequest(req.id);
-        if (!token) {
-            sendError(conn, req.id, runtime::ErrorKind::InvalidInput,
-                      "duplicate request id: \"" + req.id +
-                          "\" is already in flight");
-            continue;
-        }
-        _requestsInflight->add(1);
-        conn.active.fetch_add(1);
-        inflight.emplace_back(
-            [this, &conn, req = std::move(req), token, rid, t0] {
-                runRequest(conn, req, token, rid, t0);
-            });
-    }
-
-    for (auto &th : inflight)
-        th.join();
-
-    _connClosed->inc();
-    if (_log.enabled()) {
-        report::Json f = report::Json::object();
-        f["conn"] = conn.id;
-        _log.event("conn.close", std::move(f));
-    }
-}
-
-int
-Server::serveListener(int listen_fd)
-{
-    return _accept.run(listen_fd, [this](int c) {
-        FdTransport t(c, c);
-        try {
-            serveConnection(t);
-        } catch (const std::exception &e) {
-            _connErrors->inc();
-            std::fprintf(stderr, "mscd: connection error: %s\n",
-                         e.what());
-        }
-        ::close(c);
-    });
-}
-
-int
-Server::serveUnix(const std::string &path)
-{
-    int fd = bindUnix(path, "mscd");
-    if (fd < 0)
-        return 1;
-    int rc = serveListener(fd);
-    ::unlink(path.c_str());
-    return rc;
-}
-
-int
-Server::serveTcp(uint16_t port)
-{
-    int fd = bindTcp(port, "mscd");
-    if (fd < 0)
-        return 1;
-    return serveListener(fd);
-}
-
-void
-Server::requestStop()
-{
-    _accept.requestStop();
+    call.finish(traceResultFrame(
+        call.request().id, report::runToJson(rec),
+        obs::taskProfileToJson(prof, res.partition->partition,
+                               spec.workload),
+        std::move(trace)));
 }
 
 } // namespace serve

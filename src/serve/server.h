@@ -1,42 +1,29 @@
 /**
  * @file
- * The mscd connection server: frames in, frames out.
+ * The mscd backend that executes requests locally.
  *
  * One Server owns one Dispatcher (worker pool + shared SessionPool +
  * optional on-disk artifact cache) and serves any number of
- * connections against it — the "millions of users" shape: identical
- * program+option requests coalesce onto one computation through the
- * content-addressed stage keys, whatever connection they arrive on.
+ * connections against it — identical program+option requests
+ * coalesce onto one computation through the content-addressed stage
+ * keys, whatever connection they arrive on.
  *
- * A connection is any Transport: `mscd --stdio` wraps the stdin/
- * stdout pair, serveUnix/serveTcp accept sockets, and tests drive
- * scripted StringTransports in-process. Per connection, a reader
- * loop decodes frames and dispatches:
+ * Connections, framing, the inline verbs, backpressure and telemetry
+ * belong to the shared serve::Frontend (frontend.h); a Server is the
+ * daemon shape behind it:
  *
- *  - `cancel` and `stats` are handled inline on the reader thread —
- *    cancel so it can reach a request in flight on the same
- *    connection, stats because a telemetry snapshot must not queue
- *    behind the work it is meant to observe;
- *  - `run`/`sweep`/`trace` execute on a per-request thread that
- *    submits cells to the worker pool and streams response frames
- *    (cells in input order, then one summary) under the connection's
- *    write lock, so frames from concurrent requests interleave only
- *    at frame granularity;
- *  - every malformed frame or payload produces exactly one `error`
- *    frame and the connection stays usable (frame.h documents the
- *    resync rules; tests/test_mscd.cc is the conformance suite).
+ *  - `run`/`sweep` submit every cell to the Dispatcher; each cell's
+ *    completion callback feeds a CellStream, which streams cells in
+ *    input order and then one summary whose status/exit_code come
+ *    from the shared report::sweepExitCode mapping;
+ *  - `trace` runs as one job on the same worker pool, bypassing
+ *    dedup (its sinks are a side effect);
+ *  - `cancel` needs no relay: cells poll the request's token.
  *
- * Telemetry (docs/OBSERVABILITY.md): the Server owns the process's
- * obs::MetricsRegistry. The reader loop counts frames, per-verb
- * requests, and malformed payloads in arrival order; request threads
- * observe parse->dispatch/first-frame/done latency histograms; the
- * Dispatcher keeps queue-depth/busy/in-flight gauges. The `stats`
- * verb serves a snapshot of all of it as a `msc.metrics` v1 document
- * — values only move on stderr or in stats results, so sweep
- * documents on stdout remain byte-identical to `msctool sweep`.
- * With ServerConfig::logJson, each request additionally emits
- * structured JSON log lines (rid-correlated, one per lifecycle
- * event) on stderr.
+ * No request owns a thread: per connection there is one reader and
+ * one writer, plus the Dispatcher's fixed workers. Telemetry
+ * (docs/OBSERVABILITY.md) lives under the `mscd.` prefix; the
+ * Dispatcher adds its queue/cache instruments to the same registry.
  *
  * Nothing a peer sends can crash the process or leak a worker: cell
  * failures become error records (dispatch.h), protocol failures
@@ -46,147 +33,34 @@
 
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <memory>
-#include <mutex>
-#include <string>
 
-#include "obs/metrics.h"
-#include "obs/slog.h"
 #include "serve/dispatch.h"
-#include "serve/frame.h"
-#include "serve/listen.h"
-#include "serve/protocol.h"
+#include "serve/frontend.h"
 
 namespace msc {
 namespace serve {
 
-struct ServerConfig
+struct ServerConfig : FrontendConfig
 {
     Dispatcher::Config dispatch;
-
-    /** Per-request defaults (budget) merged during parsing. */
-    RequestDefaults defaults;
-
-    /** Inbound frame-size cap. */
-    uint32_t maxFrame = DEFAULT_MAX_FRAME;
-
-    /** Connection-level backpressure: maximum pooled requests
-     *  (run/sweep/trace) in flight per connection. A request past the
-     *  bound is refused with a structured `busy` error frame — the
-     *  connection stays usable and no frame is lost. Inline verbs
-     *  (cancel/stats) are exempt, so a saturated peer can still
-     *  cancel or observe. 0 = unlimited (`mscd --max-inflight`). */
-    unsigned maxInflight = 0;
-
-    /** Emit one structured JSON log line per request lifecycle event
-     *  on stderr (`mscd --log-json`; docs/OBSERVABILITY.md). */
-    bool logJson = false;
 };
 
-class Server
+class Server final : public Frontend
 {
   public:
     explicit Server(ServerConfig cfg);
 
-    Server(const Server &) = delete;
-    Server &operator=(const Server &) = delete;
-
-    /** Serves one connection until end-of-stream; blocking. Safe to
-     *  call from multiple threads (one per connection). */
-    void serveConnection(Transport &t);
-
-    /** Binds @p path (replacing any stale socket file), accepts
-     *  connections until requestStop(), then unlinks the socket.
-     *  Returns 0 on clean shutdown, 1 on setup failure (diagnostic
-     *  on stderr). */
-    int serveUnix(const std::string &path);
-
-    /** Same over TCP on 127.0.0.1:@p port. */
-    int serveTcp(uint16_t port);
-
-    /** Stops the accept loop (async-signal-safe: flags + closes the
-     *  listening descriptor). In-flight connections finish. */
-    void requestStop();
-
     Dispatcher &dispatcher() { return _dispatch; }
 
-    /** The process's telemetry registry (what the `stats` verb
-     *  snapshots); valid for the Server's lifetime. */
-    obs::MetricsRegistry &metrics() { return _metrics; }
-
   private:
-    using Clock = std::chrono::steady_clock;
+    void start(const std::shared_ptr<Call> &call) override;
+    void cancel(Call &) override {}
+    void runTrace(Call &call);
 
-    /** One connection's shared write end (frames must not tear). */
-    struct Conn
-    {
-        Conn(Transport &tr, uint64_t n) : t(tr), id(n) {}
-        Transport &t;
-        uint64_t id;  ///< Process-wide connection sequence (logs).
-        std::mutex mu;
-
-        /** Pooled requests in flight on this connection. Incremented
-         *  on the reader thread *before* the next frame is read, so
-         *  the backpressure bound is deterministic with respect to
-         *  frame arrival order (tests rely on this). */
-        std::atomic<unsigned> active{0};
-    };
-
-    /** Pre-registered per-verb instruments (hot path never takes the
-     *  registry mutex). Null members = not meaningful for the verb
-     *  (e.g. dispatch latency for inline verbs). */
-    struct VerbMetrics
-    {
-        obs::Counter *requests = nullptr;
-        obs::Histogram *dispatchUs = nullptr;
-        obs::Histogram *firstFrameUs = nullptr;
-        obs::Histogram *doneUs = nullptr;
-    };
-
-    void registerMetrics();
-    VerbMetrics &verbMetrics(RequestKind k)
-    {
-        return _verb[size_t(k)];
-    }
-
-    void sendFrame(Conn &conn, const report::Json &frame);
-    void sendError(Conn &conn, const std::string &id,
-                   runtime::ErrorKind kind, const std::string &detail);
-    void runRequest(Conn &conn, const Request &req,
-                    const std::shared_ptr<runtime::CancelToken> &token,
-                    const std::string &rid, Clock::time_point t0);
-    void runTrace(Conn &conn, const Request &req,
-                  const std::shared_ptr<runtime::CancelToken> &token,
-                  Clock::time_point t0);
-    int serveListener(int listen_fd);
-
-    /** Microseconds from @p t0 to now (histogram fodder). */
-    static uint64_t sinceUs(Clock::time_point t0);
-
-    ServerConfig _cfg;
-
-    // Telemetry before _dispatch: the dispatcher registers callback
-    // gauges into _metrics and both must outlive it.
-    obs::MetricsRegistry _metrics;
-    obs::JsonLogger _log;
-    VerbMetrics _verb[5];
-    obs::Counter *_framesIn = nullptr;
-    obs::Counter *_framesOut = nullptr;
-    obs::Counter *_framesTruncated = nullptr;
-    obs::Counter *_framesOversize = nullptr;
-    obs::Counter *_reqMalformed = nullptr;
-    obs::Counter *_reqBusy = nullptr;
-    obs::Counter *_connAccepted = nullptr;
-    obs::Counter *_connClosed = nullptr;
-    obs::Counter *_connErrors = nullptr;
-    obs::Gauge *_requestsInflight = nullptr;
-    std::atomic<uint64_t> _reqSeq{0};
-    std::atomic<uint64_t> _connSeq{0};
-
+    // After the Frontend base: the dispatcher registers callback
+    // gauges into its registry, which must outlive it.
     Dispatcher _dispatch;
-    AcceptLoop _accept;
 };
 
 } // namespace serve

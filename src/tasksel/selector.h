@@ -16,7 +16,7 @@
  * functions averaging fewer than CALL_THRESH dynamic instructions do
  * not terminate tasks); its loop unrolling and the induction-variable
  * hoisting are IR transforms that must run before profiling — see
- * transforms.h and sim/runner.h for the full pipeline.
+ * transforms.h and pipeline/session.h for the full pipeline.
  */
 
 #pragma once

@@ -63,6 +63,7 @@
 
 #include "report/record.h"
 #include "serve/frame.h"
+#include "workloads/workload.h"
 
 using namespace msc;
 
@@ -561,31 +562,44 @@ main(int argc, char **argv)
                   .get("router.cells.failed")
                   .asUInt() == 0);
 
-        // ---- 9. Kill a shard mid-sweep: surviving rows stream, the
-        //         dead shard's cells become io error rows, msctool
-        //         exits with the partial code.
+        // ---- 9. Kill a shard mid-sweep: the dead shard's cells
+        //         become io error rows, msctool exits with the partial
+        //         code. Shard 2 is stopped first, so its cells cannot
+        //         have been answered before the kill: the router
+        //         forwards the whole grid (its stats say so), then the
+        //         kill lands with shard 2's cells still pending.
+        auto routerCounter = [&](const char *name) {
+            std::string out = runCapture(
+                scratch,
+                {msctool, "stats", "--connect", "unix:" + rsock,
+                 "--json"},
+                &rc);
+            CHECK(rc == 0);
+            return report::Json::parse(out)
+                .get("counters")
+                .get(name)
+                .asUInt();
+        };
+        uint64_t grid = workloads::allWorkloads().size() * 2;
+        uint64_t forwarded0 = routerCounter("router.cells.forwarded");
+        uint64_t shard2_0 = routerCounter("router.shard.2.cells");
+        CHECK(::kill(shard_procs[2].pid, SIGSTOP) == 0);
         Child deg = spawn(scratch,
                           {msctool, "sweep", "--small", "--strategy",
                            "bb,cf", "--pus", "2", "--insts", "50000",
                            "--connect", "unix:" + rsock},
                           true);
         ::close(deg.in);
-        std::string table;
-        {   // A few rows prove the sweep is underway (each row is
-            // flushed as its cell frame arrives) — then the kill
-            // lands while most of the grid is still in flight.
-            size_t newlines = 0;
-            char buf[512];
-            while (newlines < 4) {
-                ssize_t n = ::read(deg.out, buf, sizeof buf);
-                CHECK(n > 0);
-                for (ssize_t k = 0; k < n; ++k)
-                    newlines += buf[k] == '\n';
-                table.append(buf, size_t(n));
-            }
+        for (int i = 0;
+             routerCounter("router.cells.forwarded") < forwarded0 + grid;
+             ++i) {
+            CHECK(i < 3000);
+            ::usleep(10'000);
         }
+        CHECK(routerCounter("router.shard.2.cells") > shard2_0);
         CHECK(::kill(shard_procs[2].pid, SIGKILL) == 0);
         ::waitpid(shard_procs[2].pid, nullptr, 0);
+        std::string table;
         {
             char buf[4096];
             ssize_t n;

@@ -166,7 +166,7 @@ TEST(RequestBuilder, PayloadsParseAsValidRequests)
 {
     RequestBuilder b = RequestBuilder::trace("t1", "compress");
     b.strategy("cf").pusCount(8).inOrder(true).sizeHeuristic(true)
-        .targets(2).core("cycle").includeTrace(true);
+        .targets(2).includeTrace(true);
     serve::RequestDefaults defaults;
     serve::Request req = serve::parseRequest(b.payload(), defaults);
     EXPECT_EQ(req.kind, serve::RequestKind::Trace);

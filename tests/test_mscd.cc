@@ -23,12 +23,15 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <malloc.h>
 #include <unistd.h>
 
+#include "client/client.h"
 #include "helpers.h"
 #include "pipeline/session.h"
 #include "report/record.h"
@@ -855,4 +858,80 @@ TEST(MscdDispatch, StageKeyTracksOptionsNotBudgets)
     budgeted.opts.budget.maxFuel = 12345;
     EXPECT_EQ(ka, s.stageKey(pipeline::StageKind::Simulate,
                              budgeted.opts));
+}
+
+// ------------------------------------------- bounded threads/memory
+
+namespace {
+
+/** This process's VmSize in KiB (/proc/self/status). */
+long
+vmSizeKb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stol(line.substr(7));
+    return -1;
+}
+
+} // anonymous namespace
+
+TEST(MscdServer, FinishedConnectionsAndRequestsKeepNoThreads)
+{
+    std::string dir = freshDir("reap");
+    fs::create_directories(dir);
+    client::Endpoint ep = client::parseEndpoint("unix:" + dir + "/s");
+    ServerConfig cfg;
+    cfg.dispatch.jobs = 2;
+    Server server(std::move(cfg));
+    std::thread srv([&] { server.serveUnix(ep.path); });
+
+    auto run = [](const std::string &id) {
+        client::RequestBuilder b = client::RequestBuilder::run(id, "compress");
+        b.strategy("bb").pusCount(2).smallScale(true).insts(10000);
+        return b;
+    };
+    for (int i = 0;; ++i) {
+        try {
+            ::close(client::connectEndpoint(ep));
+            break;
+        } catch (const std::exception &) {
+            ASSERT_LT(i, 500);
+            ::usleep(10'000);
+        }
+    }
+    // Warm-up, so the baseline already holds what a steady state
+    // keeps: the session cache and the thread-stack cache. One malloc
+    // arena keeps glibc's 64 MiB per-thread arena reservations (which
+    // depend on how many threads happen to overlap) out of VmSize; a
+    // thread kept alive still shows as its 8 MiB stack.
+    mallopt(M_ARENA_MAX, 1);
+    for (int i = 0; i < 20; ++i) {
+        client::ClientConn conn(ep);
+        ASSERT_TRUE(conn.collectSweep(run("w")).ok());
+    }
+    long before = vmSizeKb();
+
+    for (int i = 0; i < 200; ++i) {
+        client::ClientConn conn(ep);
+        EXPECT_EQ(conn.call(client::RequestBuilder::stats("s")).type,
+                  client::ResponseFrame::Type::Result);
+    }
+    {
+        client::ClientConn conn(ep);
+        for (int i = 0; i < 200; ++i)
+            ASSERT_TRUE(
+                conn.collectSweep(run("r" + std::to_string(i))).ok());
+        // Measured with the connection still open: a request must not
+        // keep a thread (and its stack) until its connection ends.
+        // Only growth counts; a sanitizer allocator may also unmap.
+        long after = vmSizeKb();
+        EXPECT_LT(after - before, 64L * 1024)
+            << "VmSize " << before << " kB -> " << after << " kB";
+    }
+
+    server.requestStop();
+    srv.join();
 }

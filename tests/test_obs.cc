@@ -19,7 +19,7 @@
 #include "obs/taskprof.h"
 #include "obs/tracesink.h"
 #include "report/json.h"
-#include "sim/runner.h"
+#include "pipeline/session.h"
 #include "workloads/workload.h"
 
 using namespace msc;
@@ -27,25 +27,26 @@ using namespace msc::obs;
 
 namespace {
 
-sim::RunOptions
+pipeline::StageOptions
 baseOptions(tasksel::Strategy s, unsigned pus = 4)
 {
-    sim::RunOptions o;
-    o.sel.strategy = s;
+    tasksel::SelectionOptions sel;
+    sel.strategy = s;
+    pipeline::StageOptions o = pipeline::StageOptions::fromSelection(sel);
     o.config = arch::SimConfig::paperConfig(pus, /*ooo=*/true);
-    o.traceInsts = 60'000;
+    o.trace.traceInsts = 60'000;
     return o;
 }
 
-sim::RunResult
+pipeline::StageResults
 runTraced(const char *workload, tasksel::Strategy s, TraceSink *sink,
           unsigned pus = 4)
 {
-    ir::Program p = workloads::buildWorkload(workload,
-                                             workloads::Scale::Small);
-    sim::RunOptions o = baseOptions(s, pus);
+    pipeline::StageOptions o = baseOptions(s, pus);
     o.sink = sink;
-    return sim::runPipeline(p, o);
+    return pipeline::Session(workloads::buildWorkload(
+                                 workload, workloads::Scale::Small))
+        .runAll(o);
 }
 
 } // anonymous namespace
@@ -58,26 +59,25 @@ TEST(TraceSinkTest, NullSinkLeavesStatsUnchanged)
     // Attaching an inert sink must not perturb the simulation: the
     // instrumented sites only *observe*.
     NullTraceSink null_sink;
-    sim::RunResult plain = runTraced("compress", tasksel::Strategy::ControlFlow,
-                                     nullptr);
-    sim::RunResult traced = runTraced("compress",
-                                      tasksel::Strategy::ControlFlow,
-                                      &null_sink);
+    pipeline::StageResults plain =
+        runTraced("compress", tasksel::Strategy::ControlFlow, nullptr);
+    pipeline::StageResults traced = runTraced(
+        "compress", tasksel::Strategy::ControlFlow, &null_sink);
 
-    EXPECT_EQ(plain.stats.cycles, traced.stats.cycles);
-    EXPECT_EQ(plain.stats.retiredInsts, traced.stats.retiredInsts);
-    EXPECT_EQ(plain.stats.retiredTasks, traced.stats.retiredTasks);
-    EXPECT_EQ(plain.stats.buckets.counts, traced.stats.buckets.counts);
-    EXPECT_EQ(plain.stats.puOccupiedCycles, traced.stats.puOccupiedCycles);
+    const arch::SimStats &a = plain.sim->stats, &b = traced.sim->stats;
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.retiredInsts, b.retiredInsts);
+    EXPECT_EQ(a.retiredTasks, b.retiredTasks);
+    EXPECT_EQ(a.buckets.counts, b.buckets.counts);
+    EXPECT_EQ(a.puOccupiedCycles, b.puOccupiedCycles);
 }
 
 TEST(TraceSinkTest, TeeFansOutToAllSinks)
 {
     TaskProfiler a, b;
     TeeSink tee({&a, &b});
-    sim::RunResult r = runTraced("compress", tasksel::Strategy::BasicBlock,
-                                 &tee);
-    ASSERT_GT(r.stats.retiredTasks, 0u);
+    auto r = runTraced("compress", tasksel::Strategy::BasicBlock, &tee);
+    ASSERT_GT(r.sim->stats.retiredTasks, 0u);
     EXPECT_EQ(a.totalCycles(), b.totalCycles());
     EXPECT_GT(a.totalCycles(), 0u);
 }
@@ -150,11 +150,12 @@ TEST(PerfettoTest, PhaseSpansAreOptInAndSeparate)
     PerfettoTraceWriter w(2, "compress");
     ir::Program p = workloads::buildWorkload("compress",
                                              workloads::Scale::Small);
-    sim::RunOptions o = baseOptions(tasksel::Strategy::BasicBlock, 2);
+    pipeline::StageOptions o =
+        baseOptions(tasksel::Strategy::BasicBlock, 2);
     o.sink = &w;
     PhaseTimes pt;
     o.phaseTimes = &pt;
-    sim::runPipeline(p, o);
+    pipeline::Session(p).runAll(o);
 
     EXPECT_GT(pt.total(), 0.0);
     for (double us : pt.micros)
@@ -201,13 +202,12 @@ TEST_P(TraceAccountingTest, SpansReproduceSimStats)
     TaskProfiler prof;
     SpanAccounting xcheck(PUS);
     TeeSink tee({&writer, &prof, &xcheck});
-    sim::RunResult r =
-        runTraced(workload, tasksel::Strategy(strat), &tee, PUS);
-    ASSERT_GT(r.stats.retiredTasks, 0u);
+    auto r = runTraced(workload, tasksel::Strategy(strat), &tee, PUS);
+    ASSERT_GT(r.sim->stats.retiredTasks, 0u);
 
     // 1. The streaming cross-check: per-PU and per-phase sums match
     //    the simulator's own buckets.
-    EXPECT_EQ(xcheck.verify(r.stats), "");
+    EXPECT_EQ(xcheck.verify(r.sim->stats), "");
 
     // 2. The same invariant through the serialized file: re-parse the
     //    emitted JSON and sum complete-span durations per PU track.
@@ -224,18 +224,18 @@ TEST_P(TraceAccountingTest, SpansReproduceSimStats)
         ASSERT_LT(size_t(tid), per_pu.size());
         per_pu[size_t(tid)] += e.get("dur").asUInt();
     }
-    ASSERT_EQ(r.stats.puOccupiedCycles.size(), size_t(PUS));
+    ASSERT_EQ(r.sim->stats.puOccupiedCycles.size(), size_t(PUS));
     for (unsigned pu = 0; pu < PUS; ++pu)
-        EXPECT_EQ(per_pu[pu], r.stats.puOccupiedCycles[pu])
+        EXPECT_EQ(per_pu[pu], r.sim->stats.puOccupiedCycles[pu])
             << "PU " << pu << " span sum != occupied cycles";
     uint64_t grand = 0;
     for (uint64_t c : per_pu)
         grand += c;
-    EXPECT_EQ(grand, r.stats.buckets.total());
+    EXPECT_EQ(grand, r.sim->stats.buckets.total());
 
     // 3. The attribution profile accounts for every cycle and every
     //    retirement.
-    EXPECT_EQ(prof.totalCycles(), r.stats.buckets.total());
+    EXPECT_EQ(prof.totalCycles(), r.sim->stats.buckets.total());
     uint64_t commits = 0, insts = 0;
     arch::CycleBuckets merged;
     for (const StaticTaskProfile &tp : prof.profiles()) {
@@ -243,14 +243,14 @@ TEST_P(TraceAccountingTest, SpansReproduceSimStats)
         insts += tp.committedInsts;
         merged.merge(tp.buckets);
     }
-    EXPECT_EQ(commits, r.stats.retiredTasks);
-    EXPECT_EQ(insts, r.stats.retiredInsts);
+    EXPECT_EQ(commits, r.sim->stats.retiredTasks);
+    EXPECT_EQ(insts, r.sim->stats.retiredInsts);
     for (size_t i = 0; i < arch::NUM_CYCLE_KINDS; ++i) {
         arch::CycleKind k = arch::CycleKind(i);
         if (k == arch::CycleKind::CtrlSquash ||
             k == arch::CycleKind::MemSquash)
             continue;   // Penalties live in squashPenaltyCycles.
-        EXPECT_EQ(merged.counts[i], r.stats.buckets.counts[i])
+        EXPECT_EQ(merged.counts[i], r.sim->stats.buckets.counts[i])
             << arch::cycleKindName(k);
     }
 }
@@ -280,10 +280,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TaskProfTest, SchemaAndRoundTrip)
 {
     TaskProfiler prof;
-    sim::RunResult r = runTraced("compress",
-                                 tasksel::Strategy::ControlFlow, &prof);
+    auto r = runTraced("compress", tasksel::Strategy::ControlFlow, &prof);
 
-    report::Json doc = taskProfileToJson(prof, r.partition, "compress");
+    report::Json doc =
+        taskProfileToJson(prof, r.partition->partition, "compress");
     EXPECT_EQ(doc.get("schema").asString(), TASKPROF_SCHEMA_NAME);
     EXPECT_EQ(doc.get("schema_version").asInt(), TASKPROF_SCHEMA_VERSION);
     EXPECT_EQ(doc.get("workload").asString(), "compress");
@@ -309,7 +309,7 @@ TEST(TaskProfTest, SchemaAndRoundTrip)
         EXPECT_TRUE(br.has(arch::cycleKindId(arch::CycleKind::Useful)));
     }
     total += doc.get("bogus").get("squash_penalty_cycles").asUInt();
-    EXPECT_EQ(total, r.stats.buckets.total());
+    EXPECT_EQ(total, r.sim->stats.buckets.total());
 
     // Dump → parse → dump is stable.
     std::string text = doc.dump(2);
@@ -319,9 +319,8 @@ TEST(TaskProfTest, SchemaAndRoundTrip)
 TEST(TaskProfTest, HotTasksTableRanksByCycles)
 {
     TaskProfiler prof;
-    sim::RunResult r = runTraced("compress",
-                                 tasksel::Strategy::BasicBlock, &prof);
-    std::string table = formatHotTasks(prof, r.partition, 5);
+    auto r = runTraced("compress", tasksel::Strategy::BasicBlock, &prof);
+    std::string table = formatHotTasks(prof, r.partition->partition, 5);
     EXPECT_NE(table.find("task"), std::string::npos);
     // The hottest task's cycle count appears in the table.
     uint64_t hottest = 0;

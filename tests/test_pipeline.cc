@@ -10,7 +10,7 @@
 #include "arch/taskstream.h"
 #include "helpers.h"
 #include "profile/interpreter.h"
-#include "sim/runner.h"
+#include "pipeline/session.h"
 #include "tasksel/pverify.h"
 #include "workloads/workload.h"
 
@@ -19,16 +19,17 @@ using namespace msc::tasksel;
 
 namespace {
 
-sim::RunResult
+pipeline::StageResults
 run(const ir::Program &p, Strategy s, unsigned pus = 4, bool ooo = true,
     bool size_heur = false)
 {
-    sim::RunOptions o;
-    o.sel.strategy = s;
-    o.sel.taskSizeHeuristic = size_heur;
+    SelectionOptions sel;
+    sel.strategy = s;
+    sel.taskSizeHeuristic = size_heur;
+    pipeline::StageOptions o = pipeline::StageOptions::fromSelection(sel);
     o.config = arch::SimConfig::paperConfig(pus, ooo);
-    o.traceInsts = 60'000;
-    return sim::runPipeline(p, o);
+    o.trace.traceInsts = 60'000;
+    return pipeline::Session(p).runAll(o);
 }
 
 } // anonymous namespace
@@ -42,15 +43,15 @@ TEST_P(PipelineTest, CompletesAndRetiresTrace)
     auto [name, strat] = GetParam();
     ir::Program p = workloads::buildWorkload(name,
                                              workloads::Scale::Small);
-    sim::RunResult r = run(p, Strategy(strat));
-    EXPECT_GT(r.stats.ipc(), 0.05);
-    EXPECT_LE(r.stats.ipc(), 8.0);
-    EXPECT_GT(r.stats.retiredTasks, 0u);
-    EXPECT_GT(r.stats.avgTaskSize(), 1.0);
+    pipeline::StageResults r = run(p, Strategy(strat));
+    EXPECT_GT(r.sim->stats.ipc(), 0.05);
+    EXPECT_LE(r.sim->stats.ipc(), 8.0);
+    EXPECT_GT(r.sim->stats.retiredTasks, 0u);
+    EXPECT_GT(r.sim->stats.avgTaskSize(), 1.0);
     // The timing model retired exactly the functional trace.
-    profile::Interpreter in(*r.prog);
+    profile::Interpreter in(*r.transformed->prog);
     in.runQuiet(60'000);
-    EXPECT_EQ(r.stats.retiredInsts, in.instCount());
+    EXPECT_EQ(r.sim->stats.retiredInsts, in.instCount());
 }
 
 namespace {
@@ -87,7 +88,7 @@ TEST_P(HeuristicOrdering, MultiBlockTasksBeatBasicBlocks)
                                              workloads::Scale::Small);
     auto bb = run(p, Strategy::BasicBlock);
     auto cf = run(p, Strategy::ControlFlow);
-    EXPECT_GT(cf.stats.ipc(), bb.stats.ipc() * 1.05)
+    EXPECT_GT(cf.sim->stats.ipc(), bb.sim->stats.ipc() * 1.05)
         << "control-flow tasks must clearly beat basic-block tasks";
 }
 
@@ -99,7 +100,7 @@ TEST_P(HeuristicOrdering, TaskSizesGrowWithHeuristics)
                                              workloads::Scale::Small);
     auto bb = run(p, Strategy::BasicBlock);
     auto cf = run(p, Strategy::ControlFlow);
-    EXPECT_GT(cf.stats.avgTaskSize(), bb.stats.avgTaskSize());
+    EXPECT_GT(cf.sim->stats.avgTaskSize(), bb.sim->stats.avgTaskSize());
 }
 
 TEST_P(HeuristicOrdering, WindowSpanGrowsWithHeuristics)
@@ -109,8 +110,8 @@ TEST_P(HeuristicOrdering, WindowSpanGrowsWithHeuristics)
                                              workloads::Scale::Small);
     auto bb = run(p, Strategy::BasicBlock, 8);
     auto dd = run(p, Strategy::DataDependence, 8);
-    EXPECT_GT(dd.stats.measuredWindowSpan,
-              bb.stats.measuredWindowSpan);
+    EXPECT_GT(dd.sim->stats.measuredWindowSpan,
+              bb.sim->stats.measuredWindowSpan);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -127,7 +128,7 @@ TEST(HeuristicEffects, EightPusNoSlowerThanFour)
             name, workloads::Scale::Small);
         auto p4 = run(p, Strategy::ControlFlow, 4);
         auto p8 = run(p, Strategy::ControlFlow, 8);
-        EXPECT_LE(p8.stats.cycles, p4.stats.cycles + p4.stats.cycles / 20)
+        EXPECT_LE(p8.sim->stats.cycles, p4.sim->stats.cycles + p4.sim->stats.cycles / 20)
             << name;
     }
 }
@@ -144,9 +145,9 @@ TEST(HeuristicEffects, SizeHeuristicGrowsCompressTasks)
                                              workloads::Scale::Small);
     auto plain = run(p, Strategy::DataDependence, 4, true, false);
     auto sized = run(p, Strategy::DataDependence, 4, true, true);
-    EXPECT_GE(sized.loopsUnrolled, 1u);
-    EXPECT_GT(sized.stats.avgTaskSize(), plain.stats.avgTaskSize());
-    EXPECT_GT(sized.stats.ipc(), plain.stats.ipc() * 0.9);
+    EXPECT_GE(sized.transformed->loopsUnrolled, 1u);
+    EXPECT_GT(sized.sim->stats.avgTaskSize(), plain.sim->stats.avgTaskSize());
+    EXPECT_GT(sized.sim->stats.ipc(), plain.sim->stats.ipc() * 0.9);
 }
 
 TEST(HeuristicEffects, SizeHeuristicIncludesFppppCalls)
@@ -155,10 +156,10 @@ TEST(HeuristicEffects, SizeHeuristicIncludesFppppCalls)
                                              workloads::Scale::Small);
     auto plain = run(p, Strategy::DataDependence, 4, true, false);
     auto sized = run(p, Strategy::DataDependence, 4, true, true);
-    EXPECT_FALSE(sized.partition.includedCalls.empty());
-    EXPECT_GT(sized.stats.avgTaskSize(),
-              plain.stats.avgTaskSize() * 1.5);
-    EXPECT_GT(sized.stats.ipc(), plain.stats.ipc() * 0.9);
+    EXPECT_FALSE(sized.partition->partition.includedCalls.empty());
+    EXPECT_GT(sized.sim->stats.avgTaskSize(),
+              plain.sim->stats.avgTaskSize() * 1.5);
+    EXPECT_GT(sized.sim->stats.ipc(), plain.sim->stats.ipc() * 0.9);
 }
 
 TEST(HeuristicEffects, WindowSpanFormulaTracksMeasurement)
@@ -168,8 +169,8 @@ TEST(HeuristicEffects, WindowSpanFormulaTracksMeasurement)
     ir::Program p = workloads::buildWorkload("swim",
                                              workloads::Scale::Small);
     auto r = run(p, Strategy::ControlFlow, 8);
-    double formula = r.stats.formulaWindowSpan(8);
-    double measured = r.stats.measuredWindowSpan;
+    double formula = r.sim->stats.formulaWindowSpan(8);
+    double measured = r.sim->stats.measuredWindowSpan;
     EXPECT_GT(measured, formula * 0.3);
     EXPECT_LT(measured, formula * 3.0);
 }
@@ -183,26 +184,28 @@ TEST_P(RandomPipeline, InvariantsHoldEndToEnd)
     ir::Program p = test::makeRandomProgram(seed, 3);
 
     for (int strat = 0; strat < 3; ++strat) {
-        sim::RunOptions o;
-        o.sel.strategy = Strategy(strat);
-        o.sel.taskSizeHeuristic = (seed % 2) == 0;
-        o.sel.ddTerminateAtDependence = (seed % 3) == 0;
+        SelectionOptions sel;
+        sel.strategy = Strategy(strat);
+        sel.taskSizeHeuristic = (seed % 2) == 0;
+        sel.ddTerminateAtDependence = (seed % 3) == 0;
+        pipeline::StageOptions o =
+            pipeline::StageOptions::fromSelection(sel);
         o.config = arch::SimConfig::paperConfig(seed % 5 ? 4 : 8);
-        o.traceInsts = 30'000;
-        sim::RunResult r = sim::runPipeline(p, o);
+        o.trace.traceInsts = 30'000;
+        pipeline::StageResults r = pipeline::Session(p).runAll(o);
 
         // Functional equivalence: the transformed program computes
         // the same checksum as the original.
-        profile::Interpreter orig(p), xform(*r.prog);
+        profile::Interpreter orig(p), xform(*r.transformed->prog);
         orig.runQuiet();
         xform.runQuiet();
         EXPECT_EQ(orig.mem(0), xform.mem(0)) << "seed " << seed;
 
         // Timing model retired the whole trace.
-        profile::Interpreter again(*r.prog);
+        profile::Interpreter again(*r.transformed->prog);
         again.runQuiet(30'000);
-        EXPECT_EQ(r.stats.retiredInsts, again.instCount());
-        EXPECT_GT(r.stats.ipc(), 0.0);
+        EXPECT_EQ(r.sim->stats.retiredInsts, again.instCount());
+        EXPECT_GT(r.sim->stats.ipc(), 0.0);
     }
 }
 

@@ -10,7 +10,7 @@
 #include "helpers.h"
 #include "profile/interpreter.h"
 #include "profile/profiler.h"
-#include "sim/runner.h"
+#include "pipeline/session.h"
 #include "tasksel/transforms.h"
 #include "tasksel/selector.h"
 
@@ -270,19 +270,23 @@ TEST(Simulate, SingleTaskProgram)
 
 TEST(Runner, PipelineEndToEnd)
 {
-    sim::RunOptions o;
-    o.sel.strategy = Strategy::DataDependence;
+    tasksel::SelectionOptions sel;
+    sel.strategy = Strategy::DataDependence;
+    pipeline::StageOptions o = pipeline::StageOptions::fromSelection(sel);
     o.config = SimConfig::paperConfig(4);
-    sim::RunResult r = sim::runPipeline(test::makeLoopProgram(100), o);
-    EXPECT_GT(r.stats.ipc(), 0.0);
-    EXPECT_GT(r.dynTaskCount, 0u);
-    EXPECT_GE(r.ivsHoisted, 1u);
+    pipeline::StageResults r =
+        pipeline::Session(test::makeLoopProgram(100)).runAll(o);
+    EXPECT_GT(r.sim->stats.ipc(), 0.0);
+    EXPECT_GT(r.trace->tasks.size(), 0u);
+    EXPECT_GE(r.transformed->ivsHoisted, 1u);
 }
 
 TEST(Runner, PartitionOnlySkipsSimulation)
 {
-    sim::RunOptions o;
-    sim::RunResult r = sim::partitionOnly(test::makeLoopProgram(50), o);
-    EXPECT_FALSE(r.partition.tasks.empty());
-    EXPECT_EQ(r.stats.cycles, 0u);
+    pipeline::Session session(test::makeLoopProgram(50));
+    pipeline::StageOptions o;
+    EXPECT_FALSE(session.select(o)->partition.tasks.empty());
+    EXPECT_EQ(
+        session.cacheStats()[pipeline::StageKind::Simulate].computed,
+        0u);
 }

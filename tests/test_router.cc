@@ -17,12 +17,19 @@
  *  - a shard that is down (connect refused) or dies on contact
  *    (connection lost) fails only its own cells: io error records,
  *    `partial` summary, exit code 3 — and the link recovers once a
- *    daemon comes back;
+ *    daemon comes back; a write that fails on an idle link fails its
+ *    cell instead of leaving it waiting;
+ *  - a shard stuck in the connect backoff ladder never stalls the
+ *    client connection: stats and cancel behind a sweep answer first;
  *  - backpressure: past maxInflight, pooled requests get a structured
  *    `busy` error while the in-flight request's frames still arrive
  *    intact, and inline verbs (stats) are exempt;
  *  - trace forwarding relays the shard's result verbatim under the
- *    client's id; cancel reports unknown targets.
+ *    client's id; cancel reports unknown targets;
+ *  - the shared front-end's framing errors are answered and counted
+ *    under `router.*` too;
+ *  - a client that never reads blocks neither a dispatcher worker nor
+ *    a shard-link reader: its frames wait in its own writer's queue.
  */
 
 #include <gtest/gtest.h>
@@ -89,10 +96,11 @@ struct TempDir
 class ShardDaemon
 {
   public:
-    explicit ShardDaemon(std::string sock) : _sock(std::move(sock))
+    explicit ShardDaemon(std::string sock, unsigned jobs = 2)
+        : _sock(std::move(sock))
     {
         serve::ServerConfig cfg;
-        cfg.dispatch.jobs = 2;
+        cfg.dispatch.jobs = jobs;
         _server = std::make_unique<serve::Server>(std::move(cfg));
         _th = std::thread([this] { _server->serveUnix(_sock); });
         // Ready when a connection succeeds (bind+listen are done).
@@ -167,25 +175,92 @@ class DeadOnContactShard
     std::thread _th;
 };
 
-/** One client conversation with an in-process Router, over a
- *  socketpair (no listener needed). */
-class RouterConn
+/** A shard that answers the first request on its first connection
+ *  with an error frame, having shut down its read side first, and
+ *  then keeps the connection open: the link is idle and its reader
+ *  sees no end of stream, yet the next write to it fails with EPIPE
+ *  at once — deterministically the "idle shard that has just died"
+ *  race. */
+class HalfClosedShard
 {
   public:
-    explicit RouterConn(serve::Router &router)
+    explicit HalfClosedShard(std::string sock)
+        : _sock(std::move(sock))
+    {
+        _fd = serve::bindUnix(_sock, "test-half-closed-shard");
+        if (_fd < 0)
+            throw std::runtime_error("bindUnix failed");
+        _th = std::thread([this] {
+            _conn = ::accept(_fd, nullptr, nullptr);
+            if (_conn < 0)
+                return;
+            serve::FdTransport t(_conn, _conn);
+            serve::FrameResult fr = serve::readFrame(t);
+            if (fr.status != serve::FrameStatus::Ok)
+                return;
+            ::shutdown(_conn, SHUT_RD);
+            runtime::StageErrorInfo info;
+            info.kind = runtime::ErrorKind::Internal;
+            info.stage = "test";
+            info.detail = "answered, then stopped reading";
+            serve::writeFrame(
+                t, serve::errorFrame(serve::extractRequestId(fr.payload),
+                                     info)
+                       .dump());
+        });
+    }
+
+    ~HalfClosedShard()
+    {
+        ::shutdown(_fd, SHUT_RDWR);
+        ::close(_fd);
+        _th.join();
+        if (_conn >= 0)
+            ::close(_conn);
+        ::unlink(_sock.c_str());
+    }
+
+    client::Endpoint endpoint() const
+    {
+        return client::parseEndpoint("unix:" + _sock);
+    }
+
+  private:
+    std::string _sock;
+    int _fd = -1;
+    int _conn = -1;
+    std::thread _th;
+};
+
+/** One client conversation with an in-process daemon (Router or
+ *  Server), over a socketpair (no listener needed). @p sndbuf > 0
+ *  shrinks the daemon side's send buffer, so a client that stops
+ *  reading blocks the daemon's writes almost at once. */
+class PeerConn
+{
+  public:
+    explicit PeerConn(serve::Frontend &daemon, int sndbuf = 0)
     {
         int sv[2];
         if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
             throw std::runtime_error("socketpair failed");
         _serverFd = sv[1];
-        _th = std::thread([this, &router] {
+        if (sndbuf > 0)
+            ::setsockopt(_serverFd, SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         sizeof sndbuf);
+        _th = std::thread([this, &daemon] {
             serve::FdTransport t(_serverFd, _serverFd);
-            router.serveConnection(t);
+            try {
+                daemon.serveConnection(t);
+            } catch (const std::exception &) {
+                // A client that closes with frames unread resets the
+                // connection (the listener glue counts this too).
+            }
         });
         _conn = std::make_unique<ClientConn>(sv[0], sv[0], true);
     }
 
-    ~RouterConn()
+    ~PeerConn()
     {
         _conn.reset();  // close our end -> serveConnection sees EOF
         _th.join();
@@ -251,7 +326,7 @@ TEST(Router, RoutedSweepMatchesDirectDaemonByteForByte)
     std::vector<report::Json> cells;
     ClientConn::SweepOutcome routed;
     {
-        RouterConn conn(router);
+        PeerConn conn(router);
         routed = conn->collectSweep(
             testSweep("s1"), [&](const ResponseFrame &f) {
                 if (f.type == ResponseFrame::Type::Cell)
@@ -294,7 +369,7 @@ TEST(Router, ReplayComputesNothingAndCachesStayShardLocal)
     rcfg.shards = {s0.endpoint(), s1.endpoint()};
     serve::Router router(std::move(rcfg));
 
-    RouterConn conn(router);
+    PeerConn conn(router);
     ClientConn::SweepOutcome first =
         conn->collectSweep(testSweep("s1"));
     ClientConn::SweepOutcome second =
@@ -359,7 +434,7 @@ TEST(Router, DownShardFailsOnlyItsCellsAndRecovers)
     rcfg.connectAttempts = 2;  // keep the backoff ladder short
     rcfg.connectBackoffMs = 1;
     serve::Router router(std::move(rcfg));
-    RouterConn conn(router);
+    PeerConn conn(router);
 
     // Nothing listens on late.sock yet: its cells become io error
     // records, everyone else's complete, the sweep is partial.
@@ -399,7 +474,7 @@ TEST(Router, ShardDyingOnContactDegradesToPartial)
     rcfg.connectAttempts = 2;
     rcfg.connectBackoffMs = 1;
     serve::Router router(std::move(rcfg));
-    RouterConn conn(router);
+    PeerConn conn(router);
 
     // connect() succeeds (listen backlog), then the link collapses:
     // pending cells on it fail as connection-lost io errors.
@@ -415,6 +490,75 @@ TEST(Router, ShardDyingOnContactDegradesToPartial)
     EXPECT_EQ(ok, size_t(sw.last.shards[0]));
 }
 
+TEST(Router, FailedWriteToIdleShardFailsTheCell)
+{
+    TempDir tmp;
+    HalfClosedShard shard(tmp.path("half.sock"));
+
+    serve::RouterConfig rcfg;
+    rcfg.shards = {shard.endpoint()};
+    rcfg.connectAttempts = 1;
+    serve::Router router(std::move(rcfg));
+    PeerConn conn(router);
+
+    RequestBuilder first = RequestBuilder::run("a", "compress");
+    first.strategy("bb").pusCount(2).smallScale(true).insts(20000);
+    ClientConn::SweepOutcome a = conn->collectSweep(first);
+    ASSERT_TRUE(a.ok());
+    EXPECT_EQ(a.last.status, "failed");
+    ASSERT_EQ(a.runs.size(), 1u);
+    EXPECT_EQ(a.runs[0].get("error").get("kind").asString(),
+              "internal");
+
+    // Nothing is pending on the link now, and the shard has stopped
+    // reading: this cell's write fails. It must complete as an io
+    // error record, not wait for an answer that never comes.
+    RequestBuilder second = RequestBuilder::run("b", "compress");
+    second.strategy("bb").pusCount(2).smallScale(true).insts(20000);
+    ClientConn::SweepOutcome b = conn->collectSweep(second);
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(b.last.status, "failed");
+    ASSERT_EQ(b.runs.size(), 1u);
+    EXPECT_EQ(b.runs[0].get("error").get("kind").asString(), "io");
+}
+
+TEST(Router, UnreachableShardLeavesInlineVerbsResponsive)
+{
+    TempDir tmp;
+    serve::RouterConfig rcfg;
+    rcfg.shards = {client::parseEndpoint("unix:" + tmp.path("none"))};
+    // The first cell spends 0.5 + 1.0 s in the connect backoff ladder.
+    rcfg.connectAttempts = 3;
+    rcfg.connectBackoffMs = 500;
+    serve::Router router(std::move(rcfg));
+    PeerConn conn(router);
+
+    // Routing queues the cells on the shard link, so the reader goes
+    // straight on to the inline verbs behind the sweep: both answer
+    // before any cell, and the cancel still finds the sweep.
+    conn->send(testSweep("s1"));
+    conn->send(RequestBuilder::stats("st"));
+    conn->send(RequestBuilder::cancel("c1", "s1"));
+    ResponseFrame st = conn->next();
+    EXPECT_EQ(st.id, "st");
+    EXPECT_EQ(st.type, ResponseFrame::Type::Result);
+    ResponseFrame cancel = conn->next();
+    EXPECT_EQ(cancel.id, "c1");
+    ASSERT_EQ(cancel.type, ResponseFrame::Type::Result);
+    EXPECT_TRUE(cancel.raw.get("found").asBool());
+
+    size_t cells = 0;
+    ResponseFrame f;
+    while ((f = conn->next()).type == ResponseFrame::Type::Cell) {
+        EXPECT_EQ(f.id, "s1");
+        EXPECT_EQ(f.run.get("error").get("kind").asString(), "io");
+        ++cells;
+    }
+    EXPECT_EQ(cells, 8u);
+    ASSERT_EQ(f.type, ResponseFrame::Type::Summary);
+    EXPECT_EQ(f.status, "failed");
+}
+
 TEST(Router, BackpressureRefusesWithBusyWithoutDroppingFrames)
 {
     TempDir tmp;
@@ -424,7 +568,7 @@ TEST(Router, BackpressureRefusesWithBusyWithoutDroppingFrames)
     rcfg.shards = {s0.endpoint()};
     rcfg.maxInflight = 1;
     serve::Router router(std::move(rcfg));
-    RouterConn conn(router);
+    PeerConn conn(router);
 
     // A deliberately slow cell (fuelbomb burns its whole fuel budget)
     // keeps the connection at the bound while the next pooled request
@@ -484,7 +628,7 @@ TEST(Router, TraceForwardRelaysResultUnderClientId)
     serve::RouterConfig rcfg;
     rcfg.shards = {s0.endpoint()};
     serve::Router router(std::move(rcfg));
-    RouterConn conn(router);
+    PeerConn conn(router);
 
     RequestBuilder req = RequestBuilder::trace("t1", "compress");
     req.strategy("bb").pusCount(2).smallScale(true).insts(20000);
@@ -512,7 +656,7 @@ TEST(Router, UnknownWorkloadStillRoutesToIdenticalErrorRecord)
     serve::RouterConfig rcfg;
     rcfg.shards = {s0.endpoint()};
     serve::Router router(std::move(rcfg));
-    RouterConn conn(router);
+    PeerConn conn(router);
 
     // No program -> no content key: the router falls back to a name
     // hash, and the shard's error record equals a direct daemon's.
@@ -538,13 +682,134 @@ TEST(Router, CancelOfUnknownTargetReportsNotFound)
     serve::RouterConfig rcfg;
     rcfg.shards = {s0.endpoint()};
     serve::Router router(std::move(rcfg));
-    RouterConn conn(router);
+    PeerConn conn(router);
 
     ResponseFrame res =
         conn->call(RequestBuilder::cancel("c1", "no-such-request"));
     ASSERT_EQ(res.type, ResponseFrame::Type::Result);
     EXPECT_EQ(res.resultKind, "cancel");
     EXPECT_FALSE(res.raw.get("found").asBool());
+}
+
+TEST(Router, FramingErrorsAreCountedAndAnswered)
+{
+    TempDir tmp;
+    ShardDaemon s0(tmp.path("s0.sock"));
+
+    serve::RouterConfig rcfg;
+    rcfg.shards = {s0.endpoint()};
+    rcfg.maxFrame = 1024;
+    serve::Router router(std::move(rcfg));
+
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    std::thread th([&] {
+        serve::FdTransport t(sv[1], sv[1]);
+        router.serveConnection(t);
+    });
+    serve::FdTransport client(sv[0], sv[0]);
+    auto header = [&](uint32_t n) {
+        unsigned char h[4] = {uint8_t(n >> 24), uint8_t(n >> 16),
+                              uint8_t(n >> 8), uint8_t(n)};
+        client.write(h, sizeof h);
+    };
+
+    // Oversize: refused without consuming, the connection stays up.
+    header(4096);
+    serve::FrameResult fr = serve::readFrame(client);
+    ASSERT_EQ(fr.status, serve::FrameStatus::Ok);
+    ResponseFrame f = client::parseResponseFrame(fr.payload);
+    EXPECT_EQ(f.type, ResponseFrame::Type::Error);
+    EXPECT_EQ(f.error.kind, runtime::ErrorKind::InvalidInput);
+
+    // Truncated: a header promising more than the stream delivers
+    // still gets one final error frame.
+    header(100);
+    client.write("{\"id\"", 5);
+    ::shutdown(sv[0], SHUT_WR);
+    fr = serve::readFrame(client);
+    ASSERT_EQ(fr.status, serve::FrameStatus::Ok);
+    f = client::parseResponseFrame(fr.payload);
+    EXPECT_EQ(f.type, ResponseFrame::Type::Error);
+    EXPECT_NE(f.error.detail.find("truncated"), std::string::npos);
+    th.join();  // the truncation ended the connection
+    ::close(sv[1]);
+    EXPECT_EQ(serve::readFrame(client).status, serve::FrameStatus::Eof);
+    ::close(sv[0]);
+
+    obs::MetricsRegistry &m = router.metrics();
+    EXPECT_EQ(m.counter("router.frames.oversize").value(), 1u);
+    EXPECT_EQ(m.counter("router.frames.truncated").value(), 1u);
+    EXPECT_EQ(m.counter("router.frames.in").value(), 0u);
+    EXPECT_EQ(m.counter("router.frames.out").value(), 2u);
+}
+
+/** Connection A asks for copies of the test sweep and never reads a
+ *  byte. Every one of A's sweeps must still finish — its frames go to
+ *  A's own writer, so no worker or shard-link reader ever waits on
+ *  A's socket — and connection B's run must still complete. */
+void
+expectSlowReaderBlocksNothing(serve::Frontend &daemon,
+                              const std::string &prefix)
+{
+    const uint64_t sweeps = 8;
+    PeerConn a(daemon, 4096);
+    for (uint64_t i = 0; i < sweeps; ++i)
+        a->send(testSweep("a" + std::to_string(i)));
+
+    PeerConn b(daemon);
+    uint64_t polls = 0;
+    auto counters = [&] {
+        ++polls;
+        ResponseFrame st = b->call(RequestBuilder::stats("st"));
+        EXPECT_EQ(st.type, ResponseFrame::Type::Result);
+        return st.raw.get("metrics");
+    };
+    // All of A's sweeps parsed and finished (none still in flight).
+    report::Json m;
+    for (int i = 0;; ++i) {
+        m = counters();
+        if (counterOf(m, (prefix + ".requests.sweep").c_str()) ==
+                sweeps &&
+            m.get("gauges")
+                    .get(prefix + ".requests.inflight")
+                    .asInt() == 0)
+            break;
+        ASSERT_LT(i, 6000) << "a non-reading client stalled the daemon";
+        ::usleep(10'000);
+    }
+    // ...yet nowhere near all of their 9 frames per sweep could be
+    // written into a 4 KiB buffer nobody drains: A's writer is stuck.
+    // (Each earlier poll wrote one frame to B.)
+    EXPECT_LT(counterOf(m, (prefix + ".frames.out").c_str()) -
+                  (polls - 1),
+              sweeps * 9);
+
+    RequestBuilder run = RequestBuilder::run("b1", "compress");
+    run.strategy("dd").pusCount(4).smallScale(true).insts(20000);
+    ClientConn::SweepOutcome out = b->collectSweep(run);
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out.last.status, "ok");
+}
+
+TEST(SlowReader, BlocksNoWorkerOnASingleWorkerServer)
+{
+    serve::ServerConfig cfg;
+    cfg.dispatch.jobs = 1;
+    serve::Server server(std::move(cfg));
+    expectSlowReaderBlocksNothing(server, "mscd");
+}
+
+TEST(SlowReader, BlocksNoShardLinkThroughARouter)
+{
+    TempDir tmp;
+    ShardDaemon s0(tmp.path("s0.sock"), 1);
+    ShardDaemon s1(tmp.path("s1.sock"), 1);
+
+    serve::RouterConfig rcfg;
+    rcfg.shards = {s0.endpoint(), s1.endpoint()};
+    serve::Router router(std::move(rcfg));
+    expectSlowReaderBlocksNothing(router, "router");
 }
 
 } // anonymous namespace

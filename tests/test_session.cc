@@ -13,9 +13,7 @@
  *    of recomputing;
  *  - sweep byte-determinism: cold vs warm SessionPool runs emit
  *    byte-identical msc.sweep documents, and the ISSUE acceptance
- *    grid (2 strategies x 4 SimConfigs) computes exactly 2 frontends;
- *  - the legacy sim::RunResult is safely copyable/movable now that it
- *    shares ownership of the transformed program.
+ *    grid (2 strategies x 4 SimConfigs) computes exactly 2 frontends.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +27,6 @@
 #include "pipeline/session.h"
 #include "report/record.h"
 #include "report/sweep.h"
-#include "sim/runner.h"
 #include "workloads/workload.h"
 
 using namespace msc;
@@ -333,44 +330,4 @@ TEST(SessionSweep, AcceptanceGridComputesExactlyTwoFrontends)
     EXPECT_EQ(stats[StageKind::Select].computed, 2u);
     EXPECT_EQ(stats[StageKind::Trace].computed, 2u);
     EXPECT_EQ(stats[StageKind::Simulate].computed, 8u);
-}
-
-// ------------------------------------------------- legacy RunResult
-
-TEST(RunResultLifetime, CopiesAndMovesKeepPartitionAliasValid)
-{
-    sim::RunOptions o;
-    o.sel.strategy = tasksel::Strategy::DataDependence;
-    o.traceInsts = 10'000;
-    o.profileInsts = 20'000;
-    o.config = arch::SimConfig::paperConfig(2);
-
-    sim::RunResult copy;
-    {
-        sim::RunResult r = sim::runPipeline(test::makeLoopProgram(100),
-                                            o);
-        ASSERT_EQ(r.partition.prog, r.prog.get());
-        copy = r;                       // copy while original lives
-        sim::RunResult moved = std::move(r);
-        copy = std::move(moved);        // then move-assign over it
-    }
-    // Original and intermediate are gone; the alias must still hold.
-    ASSERT_NE(copy.prog, nullptr);
-    ASSERT_EQ(copy.partition.prog, copy.prog.get());
-    EXPECT_GT(copy.partition.size(), 0u);
-    EXPECT_FALSE(copy.prog->functions.empty());
-    // The partition's block->task map matches the aliased program.
-    EXPECT_EQ(copy.partition.taskOf.size(),
-              copy.prog->functions.size());
-    EXPECT_GT(copy.stats.retiredInsts, 0u);
-}
-
-TEST(RunResultLifetime, PartitionOnlySharesOwnershipToo)
-{
-    sim::RunOptions o;
-    sim::RunResult r = sim::partitionOnly(test::makeCallProgram(40), o);
-    sim::RunResult copy = r;
-    EXPECT_EQ(copy.prog.get(), r.prog.get());
-    EXPECT_EQ(copy.partition.prog, copy.prog.get());
-    EXPECT_EQ(copy.prog.use_count(), r.prog.use_count());
 }
