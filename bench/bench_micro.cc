@@ -139,7 +139,7 @@ BM_QuiescentSimulation(benchmark::State &state)
     tasksel::TaskPartition part = tasksel::selectTasks(p, prof, opts);
     profile::Interpreter in(p);
     profile::Trace t = in.trace(60'000);
-    std::vector<arch::DynTask> tasks = arch::cutTasks(t, part);
+    arch::TaskStream tasks = arch::cutTasks(t, part);
 
     arch::SimConfig cfg = arch::SimConfig::paperConfig(4);
     cfg.coreMode = state.range(0) ? arch::CoreMode::Event

@@ -26,6 +26,17 @@ using cfg::RegSet;
 
 constexpr uint64_t INF = ~0ull;
 
+/** Pipeline state of one dynamic instruction of an instance. */
+struct Slot
+{
+    uint64_t readyTime = 0;
+    uint64_t doneCycle = 0;
+    RegSet extMask = 0;         ///< External registers still awaited.
+    int deps = 0;               ///< Local producers not yet done.
+    uint8_t issued = 0;
+    uint8_t done = 0;
+};
+
 /** One task instance occupying a PU. */
 struct Instance
 {
@@ -33,6 +44,7 @@ struct Instance
     uint64_t dynIdx = 0;        ///< Index into the dynamic task stream.
     unsigned pu = 0;
     const DynTask *task = nullptr;  ///< Null for bogus instances.
+    const DynInst *insts = nullptr; ///< The task's instructions.
     bool bogus = false;
 
     uint64_t assignCycle = 0;
@@ -44,16 +56,13 @@ struct Instance
     uint32_t doneCount = 0;
     uint32_t retPtr = 0;        ///< Contiguous done prefix (ROB free).
     uint32_t firstUnissued = 0;
-    std::vector<uint8_t> issued, done;
-    std::vector<uint64_t> readyTime;
-    std::vector<int> deps;
-    std::vector<RegSet> extMask;
-    std::vector<uint64_t> doneCycle;
+    std::vector<Slot> slots;            ///< One per instruction.
     std::vector<std::vector<uint32_t>> waiters;
     std::vector<uint32_t> inFlight;     ///< Issued, not yet done.
     std::array<int, NUM_REGS> lastWriter;
     std::array<uint64_t, NUM_REGS> regAvail;
     std::array<std::vector<uint32_t>, NUM_REGS> extWaiters;
+    RegSet extWaitRegs = 0;     ///< Registers whose extWaiters filled.
     uint64_t icacheBlockedUntil = 0;
     int branchBlockedOn = -1;
     uint64_t curFetchLine = INF;
@@ -66,6 +75,7 @@ struct Instance
     RegSet pendingRelease = 0;
     std::array<std::vector<uint64_t>, NUM_REGS> fwdArr;
     std::array<std::vector<uint64_t>, NUM_REGS> subs;  ///< Consumer seqs.
+    RegSet subsRegs = 0;        ///< Registers whose subs filled.
     /// @}
 
     /// @name Status.
@@ -113,7 +123,7 @@ struct Instance
         return &it->second;
     }
 
-    size_t numInsts() const { return task ? task->insts.size() : 0; }
+    size_t numInsts() const { return task ? task->count : 0; }
 
     /**
      * Restores a pooled instance to freshly-constructed state while
@@ -127,18 +137,25 @@ struct Instance
         seq = dynIdx = 0;
         pu = 0;
         task = nullptr;
+        insts = nullptr;
         bogus = false;
         assignCycle = fetchStart = 0;
         dispatched = doneCount = retPtr = firstUnissued = 0;
-        // issued/done/readyTime/deps/extMask/doneCycle/waiters and
-        // lastWriter/regAvail are (re)assigned at instance creation
-        // for non-bogus instances and never read for bogus ones.
+        // slots/waiters and lastWriter/regAvail are (re)assigned at
+        // instance creation for non-bogus instances and never read
+        // for bogus ones. Only the per-register lists the masks name
+        // can be non-empty.
         inFlight.clear();
-        for (unsigned r = 0; r < NUM_REGS; ++r) {
-            extWaiters[r].clear();
-            fwdArr[r].clear();
-            subs[r].clear();
-        }
+        for (RegSet m = extWaitRegs; m; m &= m - 1)
+            extWaiters[__builtin_ctzll(m)].clear();
+        for (RegSet m = forwardedRegs; m; m &= m - 1)
+            fwdArr[__builtin_ctzll(m)].clear();
+        for (RegSet m = subsRegs; m; m &= m - 1)
+            subs[__builtin_ctzll(m)].clear();
+        extWaitRegs = subsRegs = 0;
+        for (unsigned r = 0; r < NUM_REGS; ++r)
+            assert(extWaiters[r].empty() && fwdArr[r].empty() &&
+                   subs[r].empty() && "a register mask missed a list");
         icacheBlockedUntil = 0;
         branchBlockedOn = -1;
         curFetchLine = ~0ull;
@@ -166,10 +183,11 @@ template <bool EV>
 class Simulator
 {
   public:
-    Simulator(const TaskPartition &part, const std::vector<DynTask> &tasks,
+    Simulator(const TaskPartition &part, const TaskStream &stream,
               const SimConfig &cfg, obs::TraceSink *sink,
               runtime::Governor *gov)
-        : _part(part), _tasks(tasks), _cfg(cfg), _gov(gov),
+        : _part(part), _stream(stream), _tasks(stream.tasks), _cfg(cfg),
+          _gov(gov),
           _hier(cfg),
           _arb(cfg.arbEntriesPerPU * cfg.numPUs),
           _sync(cfg.syncTableSize),
@@ -183,27 +201,6 @@ class Simulator
           _arbStallMark(cfg.numPUs, 0)
     {
         _stats.puOccupiedCycles.assign(cfg.numPUs, 0);
-
-        // Event core: decode per-static-instruction operand lists
-        // once — dispatch touches them for every dynamic instruction
-        // of every instance, and the static program is tiny. The
-        // reference core re-decodes per dispatch like the seed.
-        if constexpr (EV) {
-            _operands.resize(part.prog->functions.size());
-            for (size_t f = 0; f < _operands.size(); ++f) {
-                const auto &fn = part.prog->functions[f];
-                _operands[f].resize(fn.blocks.size());
-                for (size_t b = 0; b < fn.blocks.size(); ++b) {
-                    const auto &bb = fn.blocks[b];
-                    auto &ops = _operands[f][b];
-                    ops.resize(bb.insts.size());
-                    for (size_t i = 0; i < bb.insts.size(); ++i) {
-                        bb.insts[i].uses(ops[i].srcs);
-                        bb.insts[i].defs(ops[i].dsts);
-                    }
-                }
-            }
-        }
     }
 
     SimStats run();
@@ -217,8 +214,7 @@ class Simulator
     void execInstance(Instance &in);
     void dispatchInsts(Instance &in);
     bool tryIssue(Instance &in, uint32_t i,
-                  std::array<unsigned, 5> &fu_free, bool &ext_wait,
-                  bool &sync_wait);
+                  std::array<unsigned, 5> &fu_free, bool &sync_wait);
     void writebacks(Instance &in);
     void broadcastReg(Instance &in, RegId r, uint64_t when);
     void deliver(Instance &in, RegId r, uint64_t when);
@@ -233,7 +229,8 @@ class Simulator
     void skipTo(uint64_t target);
 
     const TaskPartition &_part;
-    const std::vector<DynTask> &_tasks;
+    const TaskStream &_stream;
+    const std::vector<DynTask> &_tasks;     ///< _stream.tasks.
     const SimConfig &_cfg;
     runtime::Governor *_gov;  ///< Optional budget/cancel governor.
 
@@ -270,15 +267,16 @@ class Simulator
         }
         if (!_storePcsDone[dyn_idx]) {
             auto &list = _storePcs[dyn_idx];
-            for (const DynInst &di : _tasks[dyn_idx].insts) {
-                if (_part.prog->inst(di.ref).isStore()) {
+            for (const DynInst &di : _stream.instsOf(_tasks[dyn_idx])) {
+                const StaticInst &si = _stream.stat(di);
+                if (si.isStore) {
                     auto it = std::lower_bound(
                         list.begin(), list.end(),
-                        std::make_pair(di.pc, 0));
-                    if (it != list.end() && it->first == di.pc)
+                        std::make_pair(si.pc, 0));
+                    if (it != list.end() && it->first == si.pc)
                         it->second++;
                     else
-                        list.insert(it, {di.pc, 1});
+                        list.insert(it, {si.pc, 1});
                 }
             }
             _storePcsDone[dyn_idx] = 1;
@@ -320,18 +318,6 @@ class Simulator
     std::vector<std::unique_ptr<Instance>> _pool;
     std::vector<uint64_t> _arrScratch;
     /// @}
-
-    /**
-     * Per-static-instruction operand lists (srcs from uses(), dsts
-     * from defs()), decoded once at construction — event core only;
-     * the reference core keeps the seed's per-dispatch decode.
-     * Indexed [func][block][index] by InstRef.
-     */
-    struct Operands
-    {
-        std::vector<RegId> srcs, dsts;
-    };
-    std::vector<std::vector<std::vector<Operands>>> _operands;
 };
 
 template <bool EV>
@@ -379,7 +365,7 @@ Simulator<EV>::emitCounters()
         if (up->bogus)
             continue;
         in_flight++;
-        span += up->task->insts.size();
+        span += up->task->count;
     }
     _sink->counters(obs::CounterEvent{_now, in_flight, span});
 }
@@ -420,6 +406,7 @@ Simulator<EV>::initRegAvail(Instance &in)
             } else {
                 in.regAvail[r] = INF;
                 p.subs[r].push_back(in.seq);
+                p.subsRegs |= cfg::regBit(RegId(r));
             }
         }
         resolved |= mask;
@@ -460,9 +447,10 @@ Simulator<EV>::deliver(Instance &in, RegId r, uint64_t when)
     _progress = true;
     in.regAvail[r] = when;
     for (uint32_t idx : in.extWaiters[r]) {
-        if (!in.issued[idx]) {
-            in.readyTime[idx] = std::max(in.readyTime[idx], when);
-            in.extMask[idx] &= ~cfg::regBit(r);
+        Slot &s = in.slots[idx];
+        if (!s.issued) {
+            s.readyTime = std::max(s.readyTime, when);
+            s.extMask &= ~cfg::regBit(r);
         }
     }
     in.extWaiters[r].clear();
@@ -477,28 +465,27 @@ template <bool EV>
 void
 Simulator<EV>::dispatchInsts(Instance &in)
 {
-    const DynTask &dt = *in.task;
     unsigned fetched = 0;
-    while (fetched < _cfg.fetchWidth && in.dispatched < dt.insts.size()) {
+    while (fetched < _cfg.fetchWidth && in.dispatched < in.task->count) {
         if (_now < in.icacheBlockedUntil)
             break;
-        if (in.branchBlockedOn >= 0 && !in.done[in.branchBlockedOn])
+        if (in.branchBlockedOn >= 0 && !in.slots[in.branchBlockedOn].done)
             break;
         // ROB capacity.
         if (in.dispatched - in.retPtr >= _cfg.robSize)
             break;
 
         uint32_t i = in.dispatched;
-        const DynInst &di = dt.insts[i];
-        const Instruction &inst = _part.prog->inst(di.ref);
+        const DynInst &di = in.insts[i];
+        const StaticInst &si = _stream.stat(di);
 
         // I-cache: one line lookup per new line.
-        uint64_t line = di.pc / _cfg.l1i.blockBytes;
+        uint64_t line = si.pc / _cfg.l1i.blockBytes;
         if (line != in.curFetchLine) {
             // The lookup itself mutates cache state (LRU, counters)
             // even when it blocks fetch, so it counts as progress.
             _progress = true;
-            uint64_t avail = _hier.fetchAccess(di.pc, _now);
+            uint64_t avail = _hier.fetchAccess(si.pc, _now);
             if (avail > _now + _cfg.l1i.hitLatency) {
                 in.icacheBlockedUntil = avail;
                 break;
@@ -508,54 +495,42 @@ Simulator<EV>::dispatchInsts(Instance &in)
 
         // Intra-task conditional branches consult gshare; a
         // misprediction stalls fetch until the branch executes.
-        if (inst.isCondBranch()) {
-            bool pred = _gshare.predict(di.pc);
+        if (si.isCondBranch) {
+            bool pred = _gshare.predict(si.pc);
             _stats.branchPredictions++;
             if (pred != di.taken) {
                 _stats.branchMispredictions++;
                 in.branchBlockedOn = int(i);
             }
-            _gshare.update(di.pc, di.taken);
+            _gshare.update(si.pc, di.taken);
         }
 
-        // Dependence setup. The event core reads predecoded operand
-        // lists; the reference core keeps the seed's per-dispatch
-        // decode into fresh vectors.
+        // Dependence setup from the decoded register sets (a register
+        // read twice is one dependence, as each wake-up is idempotent).
+        Slot &slot = in.slots[i];
         uint64_t ready = _now + 1;
-        std::vector<RegId> srcsRef, dstsRef;
-        const std::vector<RegId> *srcsP, *dstsP;
-        if constexpr (EV) {
-            const Operands &ops =
-                _operands[di.ref.func][di.ref.block][di.ref.index];
-            srcsP = &ops.srcs;
-            dstsP = &ops.dsts;
-        } else {
-            inst.uses(srcsRef);
-            inst.defs(dstsRef);
-            srcsP = &srcsRef;
-            dstsP = &dstsRef;
-        }
-        for (RegId r : *srcsP) {
+        for (RegSet m = si.srcs; m; m &= m - 1) {
+            RegId r = RegId(__builtin_ctzll(m));
             int w = in.lastWriter[r];
             if (w >= 0) {
-                if (!in.done[w]) {
+                if (!in.slots[w].done) {
                     in.waiters[w].push_back(i);
-                    in.deps[i]++;
+                    slot.deps++;
                 } else {
-                    ready = std::max(ready, in.doneCycle[w]);
+                    ready = std::max(ready, in.slots[w].doneCycle);
                 }
             } else if (in.regAvail[r] == INF) {
-                in.extMask[i] |= cfg::regBit(r);
+                slot.extMask |= cfg::regBit(r);
                 in.extWaiters[r].push_back(i);
+                in.extWaitRegs |= cfg::regBit(r);
             } else {
                 ready = std::max(ready, in.regAvail[r]);
             }
         }
-        in.readyTime[i] = ready;
+        slot.readyTime = ready;
 
-        for (RegId r : *dstsP)
-            if (r != REG_ZERO)
-                in.lastWriter[r] = int(i);
+        for (RegSet m = si.dsts; m; m &= m - 1)
+            in.lastWriter[__builtin_ctzll(m)] = int(i);
 
         in.dispatched++;
         ++fetched;
@@ -566,21 +541,12 @@ Simulator<EV>::dispatchInsts(Instance &in)
 template <bool EV>
 bool
 Simulator<EV>::tryIssue(Instance &in, uint32_t i,
-                    std::array<unsigned, 5> &fu_free, bool &ext_wait,
-                    bool &sync_wait)
+                        std::array<unsigned, 5> &fu_free, bool &sync_wait)
 {
-    const DynTask &dt = *in.task;
-    const DynInst &di = dt.insts[i];
-    const Instruction &inst = _part.prog->inst(di.ref);
+    const DynInst &di = in.insts[i];
+    const StaticInst &si = _stream.stat(di);
 
-    if (in.extMask[i]) {
-        ext_wait = true;
-        return false;
-    }
-    if (in.deps[i] > 0 || in.readyTime[i] > _now)
-        return false;
-
-    unsigned fu = unsigned(inst.info().fu);
+    unsigned fu = unsigned(si.fu);
     if (fu != unsigned(FuClass::None)) {
         if (fu_free[fu] == 0)
             return false;
@@ -589,9 +555,9 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
     bool is_head = (_window.front().get() == &in);
     uint64_t wb;
 
-    if (inst.isLoad()) {
+    if (si.isLoad) {
         // Synchronization-table gating (Moshovos et al. [11]).
-        uint64_t producer_pc = _sync.producerOf(di.pc);
+        uint64_t producer_pc = _sync.producerOf(si.pc);
         if (producer_pc && !is_head) {
             for (auto &up : _window) {
                 Instance &older = *up;
@@ -621,8 +587,8 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
         }
         uint64_t avail = _hier.dataAccess(di.addr * 8, _now);
         wb = avail + _cfg.arbHitLatency;
-        _arb.recordLoad(in.dynIdx, di.addr, di.pc);
-    } else if (inst.isStore()) {
+        _arb.recordLoad(in.dynIdx, di.addr, si.pc);
+    } else if (si.isStore) {
         if (!is_head && _arb.full() && !_arb.tracked(di.addr)) {
             _stats.arbOverflowStalls++;
             if constexpr (EV)
@@ -635,19 +601,19 @@ Simulator<EV>::tryIssue(Instance &in, uint32_t i,
         auto hit = _arb.recordStore(in.dynIdx, di.addr);
         if (hit.victim != NO_TASK) {
             _stats.memViolations++;
-            _violations.push_back({hit.victim, hit.loadPc, di.pc});
+            _violations.push_back({hit.victim, hit.loadPc, si.pc});
         }
-        int *cnt = in.findStorePc(di.pc);
+        int *cnt = in.findStorePc(si.pc);
         if (cnt && *cnt > 0)
             (*cnt)--;
     } else {
-        wb = _now + inst.info().latency;
+        wb = _now + si.latency;
     }
 
     if (fu != unsigned(FuClass::None))
         fu_free[fu]--;
-    in.issued[i] = 1;
-    in.doneCycle[i] = wb;
+    in.slots[i].issued = 1;
+    in.slots[i].doneCycle = wb;
     in.inFlight.push_back(i);
     _progress = true;
     return true;
@@ -659,7 +625,8 @@ Simulator<EV>::writebacks(Instance &in)
 {
     for (size_t k = 0; k < in.inFlight.size();) {
         uint32_t i = in.inFlight[k];
-        if (in.doneCycle[i] > _now) {
+        const uint64_t done_cycle = in.slots[i].doneCycle;
+        if (done_cycle > _now) {
             ++k;
             continue;
         }
@@ -667,28 +634,29 @@ Simulator<EV>::writebacks(Instance &in)
         in.inFlight.pop_back();
 
         _progress = true;
-        in.done[i] = 1;
+        in.slots[i].done = 1;
         in.doneCount++;
 
         // Wake local dependents.
         for (uint32_t w : in.waiters[i]) {
-            in.deps[w]--;
-            in.readyTime[w] = std::max(in.readyTime[w], in.doneCycle[i]);
+            Slot &s = in.slots[w];
+            s.deps--;
+            s.readyTime = std::max(s.readyTime, done_cycle);
         }
         in.waiters[i].clear();
 
         // Safe forward points: send on the ring.
-        const DynInst &di = in.task->insts[i];
-        RegSet fwd = di.fwdMask & in.createMask & ~in.forwardedRegs;
+        RegSet fwd = _stream.fwdMask(in.insts[i]) & in.createMask &
+            ~in.forwardedRegs;
         for (unsigned r = 0; fwd && r < NUM_REGS; ++r) {
             if (fwd & cfg::regBit(RegId(r))) {
-                broadcastReg(in, RegId(r), in.doneCycle[i]);
+                broadcastReg(in, RegId(r), done_cycle);
                 fwd &= ~cfg::regBit(RegId(r));
             }
         }
     }
 
-    while (in.retPtr < in.numInsts() && in.done[in.retPtr])
+    while (in.retPtr < in.numInsts() && in.slots[in.retPtr].done)
         in.retPtr++;
 
     // Completion.
@@ -746,7 +714,7 @@ Simulator<EV>::execInstance(Instance &in)
     fu_free[unsigned(FuClass::Mem)] = _cfg.numMemFU;
 
     while (in.firstUnissued < in.dispatched &&
-           in.issued[in.firstUnissued]) {
+           in.slots[in.firstUnissued].issued) {
         in.firstUnissued++;
     }
 
@@ -757,23 +725,19 @@ Simulator<EV>::execInstance(Instance &in)
         in.dispatched, in.firstUnissued + _cfg.issueListSize);
     for (uint32_t i = in.firstUnissued;
          i < lim && issued_now < _cfg.issueWidth; ++i) {
-        if (in.issued[i])
+        const Slot &s = in.slots[i];
+        if (s.issued)
             continue;
+        // Operand-blocked candidates are rejected here; tryIssue
+        // handles structural hazards of a ready one.
         bool ok;
-        if constexpr (EV) {
-            // Inline the blocked-candidate rejects tryIssue would hit
-            // first, sparing the per-attempt instruction lookups; the
-            // outcomes and flag updates mirror tryIssue exactly.
-            if (in.extMask[i]) {
-                ext_wait = true;
-                ok = false;
-            } else if (in.deps[i] > 0 || in.readyTime[i] > _now) {
-                ok = false;
-            } else {
-                ok = tryIssue(in, i, fu_free, ext_wait, sync_wait);
-            }
+        if (s.extMask) {
+            ext_wait = true;
+            ok = false;
+        } else if (s.deps > 0 || s.readyTime > _now) {
+            ok = false;
         } else {
-            ok = tryIssue(in, i, fu_free, ext_wait, sync_wait);
+            ok = tryIssue(in, i, fu_free, sync_wait);
         }
         if (ok) {
             ++issued_now;
@@ -790,9 +754,10 @@ Simulator<EV>::execInstance(Instance &in)
         kind = CycleKind::Useful;
     } else if (in.firstUnissued >= in.dispatched) {
         kind = CycleKind::FetchStall;
-    } else if (in.extMask[in.firstUnissued] || ext_wait || sync_wait) {
+    } else if (in.slots[in.firstUnissued].extMask || ext_wait ||
+               sync_wait) {
         kind = CycleKind::InterTaskComm;
-        RegSet m = in.extMask[in.firstUnissued];
+        RegSet m = in.slots[in.firstUnissued].extMask;
         if (m)
             _stats.extWaitByReg[__builtin_ctzll(m)]++;
     } else {
@@ -812,7 +777,7 @@ Simulator<EV>::execPhase()
     for (auto &up : _window) {
         execInstance(*up);
         if (!up->bogus) {
-            span += up->task->insts.size();
+            span += up->task->count;
             any = true;
         }
     }
@@ -959,9 +924,9 @@ Simulator<EV>::retirePhase()
     _stats.buckets.merge(head.buckets);
     _stats.puOccupiedCycles[head.pu] += head.buckets.total();
     _stats.retiredTasks++;
-    _stats.retiredInsts += head.task->insts.size();
+    _stats.retiredInsts += head.task->count;
     _stats.dynTasks++;
-    _stats.dynTaskInsts += head.task->insts.size();
+    _stats.dynTaskInsts += head.task->count;
     _stats.dynTaskCtlInsts += head.task->ctlInsts;
 
     if (_sink) {
@@ -974,7 +939,7 @@ Simulator<EV>::retirePhase()
         ev.completionCycle = head.completionCycle;
         ev.retireStart = head.retireStart;
         ev.retireEnd = head.retireStart + _cfg.taskEndOverhead;
-        ev.insts = head.task->insts.size();
+        ev.insts = head.task->count;
         ev.buckets = head.buckets;
         _sink->taskCommitted(ev);
     }
@@ -1086,15 +1051,11 @@ Simulator<EV>::assignPhase()
 
     if (!bogus) {
         in->task = &_tasks[dyn_idx];
+        in->insts = _stream.insts.data() + in->task->first;
         const Task &st = _part.tasks[in->task->staticTask];
         in->createMask = st.createMask;
-        size_t n = in->task->insts.size();
-        in->issued.assign(n, 0);
-        in->done.assign(n, 0);
-        in->readyTime.assign(n, 0);
-        in->deps.assign(n, 0);
-        in->extMask.assign(n, 0);
-        in->doneCycle.assign(n, 0);
+        size_t n = in->task->count;
+        in->slots.assign(n, Slot{});
         if constexpr (EV) {
             // Keep the inner waiter lists' capacity across reuse.
             in->waiters.resize(n);
@@ -1168,7 +1129,7 @@ Simulator<EV>::nextEventCycle() const
             t = std::min(t, in.icacheBlockedUntil);
         // FU / cache-fill completion of issued instructions.
         for (uint32_t i : in.inFlight)
-            t = std::min(t, in.doneCycle[i]);
+            t = std::min(t, in.slots[i].doneCycle);
         // Operand arrival (local producer or ring delivery already
         // folded into readyTime) within the issue window. Entries with
         // readyTime < _now are blocked on ARB/sync/FU conflicts, which
@@ -1176,10 +1137,11 @@ Simulator<EV>::nextEventCycle() const
         uint32_t lim = std::min<uint32_t>(
             in.dispatched, in.firstUnissued + _cfg.issueListSize);
         for (uint32_t i = in.firstUnissued; i < lim; ++i) {
-            if (in.issued[i] || in.deps[i] > 0 || in.extMask[i])
+            const Slot &s = in.slots[i];
+            if (s.issued || s.deps > 0 || s.extMask)
                 continue;
-            if (in.readyTime[i] >= _now)
-                t = std::min(t, in.readyTime[i]);
+            if (s.readyTime >= _now)
+                t = std::min(t, s.readyTime);
         }
     }
     return t;
@@ -1214,13 +1176,13 @@ Simulator<EV>::skipTo(uint64_t target)
         Instance &in = *up;
         if (in.bogus)
             continue;
-        span += in.task->insts.size();
+        span += in.task->count;
         any = true;
         if (in.completed)
             continue;
         in.buckets.add(in.lastKind, n);
         if (in.lastKind == CycleKind::InterTaskComm) {
-            RegSet m = in.extMask[in.firstUnissued];
+            RegSet m = in.slots[in.firstUnissued].extMask;
             if (m)
                 _stats.extWaitByReg[__builtin_ctzll(m)] += n;
         }
@@ -1317,7 +1279,7 @@ Simulator<EV>::run()
 } // anonymous namespace
 
 SimStats
-simulate(const TaskPartition &part, const std::vector<DynTask> &tasks,
+simulate(const TaskPartition &part, const TaskStream &tasks,
          const SimConfig &cfg, obs::TraceSink *sink,
          runtime::Governor *gov)
 {

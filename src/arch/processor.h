@@ -48,8 +48,6 @@
 
 #pragma once
 
-#include <vector>
-
 #include "arch/config.h"
 #include "arch/stats.h"
 #include "arch/taskstream.h"
@@ -66,8 +64,9 @@ namespace arch {
 
 /**
  * Runs the full timing simulation of @p tasks (the dynamic task
- * stream of a program under some partition) and returns the
- * statistics.
+ * stream of a program under some partition, arch/taskstream.h) and
+ * returns the statistics. Both cores read each instruction's decoded
+ * static row (TaskStream::statics), never the IR.
  *
  * @p sink, when non-null, receives the task-lifecycle event stream
  * (assignment, commit with per-instance attribution, squashes, stall
@@ -80,7 +79,7 @@ namespace arch {
  * so a pre-cancelled token aborts before any simulation work.
  */
 SimStats simulate(const tasksel::TaskPartition &part,
-                  const std::vector<DynTask> &tasks,
+                  const TaskStream &tasks,
                   const SimConfig &cfg,
                   obs::TraceSink *sink = nullptr,
                   runtime::Governor *gov = nullptr);

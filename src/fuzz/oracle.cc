@@ -182,7 +182,7 @@ runDifferentialImpl(const ir::Program &prog,
             return failure(DiffKind::NoHalt, cfg.name,
                            "transformed program exceeded budget");
 
-        std::vector<arch::DynTask> stream;
+        arch::TaskStream stream;
         try {
             stream = arch::cutTasks(trace, part);
         } catch (const std::exception &e) {

@@ -236,8 +236,7 @@ replayTrace(const Program &prog, const profile::Trace &trace)
 }
 
 ReplayResult
-replayTaskStream(const Program &prog,
-                 const std::vector<arch::DynTask> &tasks,
+replayTaskStream(const Program &prog, const arch::TaskStream &stream,
                  const tasksel::TaskPartition &part)
 {
     Replayer r(prog);
@@ -248,20 +247,22 @@ replayTaskStream(const Program &prog,
         return res;
     };
 
+    const std::vector<arch::DynTask> &tasks = stream.tasks;
     for (size_t ti = 0; ti < tasks.size(); ++ti) {
         const arch::DynTask &dt = tasks[ti];
-        if (dt.insts.empty())
+        if (dt.count == 0)
             return structural("dynamic task " + std::to_string(ti) +
                               " is empty");
         if (dt.staticTask >= part.tasks.size())
             return structural("dynamic task " + std::to_string(ti) +
                               " has invalid static task id");
         const tasksel::Task &st = part.tasks[dt.staticTask];
+        std::span<const arch::DynInst> insts = stream.instsOf(dt);
 
         // Every dynamic task must begin at its static task's entry.
-        const arch::DynInst &first = dt.insts.front();
-        if (first.ref.func != st.func || first.ref.block != st.entry ||
-            first.ref.index != 0)
+        const InstRef first = stream.stat(insts.front()).ref;
+        if (first.func != st.func || first.block != st.entry ||
+            first.index != 0)
             return structural("dynamic task " + std::to_string(ti) +
                               " does not begin at its static entry");
 
@@ -270,14 +271,14 @@ replayTaskStream(const Program &prog,
         // functions; their blocks are exempt by construction.
         int depth = 0;
         bool track = true;
-        for (const arch::DynInst &di : dt.insts) {
+        for (const arch::DynInst &di : insts) {
+            const InstRef ref = stream.stat(di).ref;
             if (track && depth == 0 &&
-                part.taskIdOf(di.ref.func, di.ref.block) != dt.staticTask)
+                part.taskIdOf(ref.func, ref.block) != dt.staticTask)
                 return structural(
                     "dynamic task " + std::to_string(ti) +
                     " executes a block owned by another task");
-            const Instruction &in = prog.functions[di.ref.func]
-                .blocks[di.ref.block].insts[di.ref.index];
+            const Instruction &in = prog.inst(ref);
             if (in.op == Opcode::Call)
                 ++depth;
             else if (in.op == Opcode::Ret) {
@@ -287,10 +288,10 @@ replayTaskStream(const Program &prog,
                     --depth;
             }
 
-            profile::TraceEntry rec{di.ref, di.addr, di.taken};
+            profile::TraceEntry rec{ref, di.addr, di.taken};
             if (!r.step(rec)) {
                 bool is_last_record =
-                    ti + 1 == tasks.size() && &di == &dt.insts.back();
+                    ti + 1 == tasks.size() && &di == &insts.back();
                 if (r.halted() && !is_last_record)
                     return structural("task stream continues past Halt");
                 if (!r.halted() || !is_last_record)
@@ -301,9 +302,10 @@ replayTaskStream(const Program &prog,
         // Successor linkage: the next dynamic task must begin where
         // this one said control goes.
         if (ti + 1 < tasks.size()) {
-            const arch::DynInst &nf = tasks[ti + 1].insts.front();
-            if (dt.nextEntry.func != nf.ref.func ||
-                dt.nextEntry.block != nf.ref.block)
+            const InstRef nf =
+                stream.stat(stream.instsOf(tasks[ti + 1]).front()).ref;
+            if (dt.nextEntry.func != nf.func ||
+                dt.nextEntry.block != nf.block)
                 return structural(
                     "dynamic task " + std::to_string(ti) +
                     " successor entry disagrees with next task");

@@ -25,7 +25,7 @@ void
 Program::layout()
 {
     _blockAddr.assign(functions.size(), {});
-    uint64_t addr = 0x1000;  // Leave page zero unmapped, as a linker would.
+    uint64_t addr = CODE_BASE;  // Page zero unmapped, as a linker would.
     for (const auto &f : functions) {
         auto &fAddrs = _blockAddr[f.id];
         fAddrs.resize(f.blocks.size(), 0);

@@ -26,6 +26,9 @@ namespace ir {
  */
 struct Program
 {
+    /** Code address of the first laid-out instruction. */
+    static constexpr uint64_t CODE_BASE = 0x1000;
+
     std::string name;
     std::vector<Function> functions;
     FuncId entry = 0;

@@ -67,7 +67,10 @@ struct TaskTrace
 {
     uint64_t key = 0;
     std::shared_ptr<const PartitionArtifact> partition;
-    std::vector<arch::DynTask> tasks;
+
+    /** The cut stream: flat instruction array, decoded static rows
+     *  and task records (arch/taskstream.h). */
+    arch::TaskStream tasks;
 
     /** Dynamic instructions in the trace (sum over tasks). */
     uint64_t traceInsts = 0;

@@ -82,7 +82,7 @@ recordFromResults(const RunSpec &spec,
     r.includedCalls = a.partition->partition.includedCalls.size();
     r.loopsUnrolled = a.transformed->loopsUnrolled;
     r.ivsHoisted = a.transformed->ivsHoisted;
-    r.dynTasksCut = a.trace->tasks.size();
+    r.dynTasksCut = a.trace->tasks.tasks.size();
     return r;
 }
 

@@ -46,7 +46,7 @@ struct Prepared
     ir::Program prog;
     tasksel::TaskPartition part;
     profile::Trace trace;
-    std::vector<DynTask> tasks;
+    TaskStream tasks;
 };
 
 Prepared

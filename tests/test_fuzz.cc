@@ -204,10 +204,10 @@ TEST(FuzzReplay, DetectsTruncatedTaskStream)
 
     profile::Interpreter in(p);
     profile::Trace t = in.trace(kRunBudget);
-    std::vector<arch::DynTask> stream = arch::cutTasks(t, part);
-    ASSERT_GT(stream.size(), 1u);
+    arch::TaskStream stream = arch::cutTasks(t, part);
+    ASSERT_GT(stream.tasks.size(), 1u);
 
-    stream.pop_back();                 // Lose the final task.
+    stream.tasks.pop_back();           // Lose the final task.
     fuzz::ReplayResult r = fuzz::replayTaskStream(p, stream, part);
     EXPECT_FALSE(r.ok);
 }

@@ -5,19 +5,28 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "arch/processor.h"
 #include "arch/taskstream.h"
+#include "fuzz/corpus.h"
 #include "helpers.h"
 #include "profile/interpreter.h"
 #include "profile/profiler.h"
 #include "pipeline/session.h"
 #include "tasksel/transforms.h"
 #include "tasksel/selector.h"
+#include "workloads/workload.h"
 
 using namespace msc;
 using namespace msc::ir;
 using namespace msc::arch;
 using namespace msc::tasksel;
+
+#ifndef MSC_CORPUS_DIR
+#error "MSC_CORPUS_DIR must point at the committed corpus directory"
+#endif
 
 namespace {
 
@@ -26,7 +35,7 @@ struct Prepared
     Program prog;
     TaskPartition part;
     profile::Trace trace;
-    std::vector<DynTask> tasks;
+    TaskStream tasks;
 };
 
 Prepared
@@ -51,49 +60,52 @@ TEST(TaskStream, ConcatenationEqualsTrace)
     auto pr = prepare(test::makeDiamondProgram(16),
                       Strategy::ControlFlow);
     size_t total = 0;
-    for (const auto &t : pr.tasks)
-        total += t.insts.size();
+    for (const auto &t : pr.tasks.tasks)
+        total += t.size();
     EXPECT_EQ(total, pr.trace.size());
     // Order preserved.
     size_t k = 0;
-    for (const auto &t : pr.tasks)
-        for (const auto &di : t.insts)
-            EXPECT_EQ(di.ref, pr.trace[k++].ref);
+    for (const auto &t : pr.tasks.tasks)
+        for (const auto &di : pr.tasks.instsOf(t))
+            EXPECT_EQ(pr.tasks.stat(di).ref, pr.trace[k++].ref);
 }
 
 TEST(TaskStream, EveryTaskStartsAtItsEntry)
 {
     auto pr = prepare(test::makeLoopProgram(20), Strategy::ControlFlow);
-    for (const auto &t : pr.tasks) {
+    for (const auto &t : pr.tasks.tasks) {
         const Task &st = pr.part.tasks[t.staticTask];
-        EXPECT_EQ(t.insts.front().ref.block, st.entry);
-        EXPECT_EQ(t.insts.front().ref.index, 0u);
-        EXPECT_EQ(t.insts.front().ref.func, st.func);
+        const InstRef first = pr.tasks.stat(pr.tasks.instsOf(t).front()).ref;
+        EXPECT_EQ(first.block, st.entry);
+        EXPECT_EQ(first.index, 0u);
+        EXPECT_EQ(first.func, st.func);
     }
 }
 
 TEST(TaskStream, SuccessorTargetsResolve)
 {
     auto pr = prepare(test::makeLoopProgram(20), Strategy::ControlFlow);
-    for (size_t i = 0; i + 1 < pr.tasks.size(); ++i) {
-        const DynTask &t = pr.tasks[i];
+    const std::vector<DynTask> &tasks = pr.tasks.tasks;
+    for (size_t i = 0; i + 1 < tasks.size(); ++i) {
+        const DynTask &t = tasks[i];
         EXPECT_FALSE(t.last);
         // Every non-final transition should be an exposed target of a
         // well-formed partition.
         EXPECT_GE(t.actualTargetIdx, 0) << "task " << i;
         EXPECT_EQ(t.nextEntry.block,
-                  pr.part.tasks[pr.tasks[i + 1].staticTask].entry);
+                  pr.part.tasks[tasks[i + 1].staticTask].entry);
     }
-    EXPECT_TRUE(pr.tasks.back().last);
+    EXPECT_TRUE(tasks.back().last);
 }
 
 TEST(TaskStream, BasicBlockTasksAreSingleBlocks)
 {
     auto pr = prepare(test::makeDiamondProgram(8), Strategy::BasicBlock);
-    for (const auto &t : pr.tasks) {
-        BlockId b = t.insts.front().ref.block;
-        for (const auto &di : t.insts)
-            EXPECT_EQ(di.ref.block, b);
+    for (const auto &t : pr.tasks.tasks) {
+        auto insts = pr.tasks.instsOf(t);
+        BlockId b = pr.tasks.stat(insts.front()).ref.block;
+        for (const auto &di : insts)
+            EXPECT_EQ(pr.tasks.stat(di).ref.block, b);
     }
 }
 
@@ -105,10 +117,10 @@ TEST(TaskStream, IncludedCallStaysInCallerTask)
     // Callee instructions appear inside tasks whose static task
     // belongs to main.
     const Function *callee = pr.prog.findFunction("twice");
-    for (const auto &t : pr.tasks) {
+    for (const auto &t : pr.tasks.tasks) {
         bool has_callee = false;
-        for (const auto &di : t.insts)
-            if (di.ref.func == callee->id)
+        for (const auto &di : pr.tasks.instsOf(t))
+            if (pr.tasks.stat(di).ref.func == callee->id)
                 has_callee = true;
         if (has_callee) {
             EXPECT_NE(pr.part.tasks[t.staticTask].func, callee->id)
@@ -123,17 +135,17 @@ TEST(TaskStream, NonIncludedCallSplitsTasks)
                       Strategy::ControlFlow, /*size=*/false);
     const Function *callee = pr.prog.findFunction("twice");
     bool callee_task = false;
-    for (const auto &t : pr.tasks) {
+    for (const auto &t : pr.tasks.tasks) {
         if (pr.part.tasks[t.staticTask].func == callee->id) {
             callee_task = true;
-            for (const auto &di : t.insts)
-                EXPECT_EQ(di.ref.func, callee->id);
+            for (const auto &di : pr.tasks.instsOf(t))
+                EXPECT_EQ(pr.tasks.stat(di).ref.func, callee->id);
         }
     }
     EXPECT_TRUE(callee_task);
     // Call-ending tasks push a return site.
     bool saw_call_end = false;
-    for (const auto &t : pr.tasks)
+    for (const auto &t : pr.tasks.tasks)
         if (t.endsInCall) {
             saw_call_end = true;
             EXPECT_TRUE(t.callReturnSite.valid());
@@ -141,12 +153,148 @@ TEST(TaskStream, NonIncludedCallSplitsTasks)
     EXPECT_TRUE(saw_call_end);
 }
 
+namespace {
+
+pipeline::StageOptions
+stageOptions(Strategy s, uint64_t trace_insts)
+{
+    SelectionOptions sel;
+    sel.strategy = s;
+    pipeline::StageOptions o = pipeline::StageOptions::fromSelection(sel);
+    o.trace.traceInsts = trace_insts;
+    return o;
+}
+
+/**
+ * Checks the cut stream of @p session under @p o against a fresh
+ * interpreter trace: every TraceEntry rebuilds from the stream, pc and
+ * the forward mask equal their IR formulas, and the task records tile
+ * the instruction array.
+ */
+void
+expectStreamRoundTrips(pipeline::Session &session,
+                       const pipeline::StageOptions &o,
+                       const std::string &what)
+{
+    SCOPED_TRACE(what);
+    auto tt = session.trace(o);
+    const TaskPartition &part = tt->partition->partition;
+    const Program &prog = *part.prog;
+    const TaskStream &ts = tt->tasks;
+    profile::Interpreter interp(prog);
+    profile::Trace trace = interp.trace(o.trace.traceInsts);
+
+    ASSERT_EQ(ts.insts.size(), trace.size());
+    ASSERT_EQ(ts.insts.capacity(), ts.insts.size());
+    ASSERT_EQ(ts.statics.size(), prog.numInsts());
+
+    uint64_t next = 0;
+    for (const DynTask &t : ts.tasks) {
+        ASSERT_EQ(t.first, next) << "gap or overlap";
+        ASSERT_GT(t.count, 0u);
+        next += t.count;
+    }
+    ASSERT_EQ(next, ts.insts.size());
+
+    unsigned depth = 0;  // Included-call depth, as the cutter tracks it.
+    for (size_t k = 0; k < trace.size(); ++k) {
+        const profile::TraceEntry &e = trace[k];
+        const DynInst &di = ts.insts[k];
+        const StaticInst &si = ts.stat(di);
+        ASSERT_EQ(si.ref, e.ref) << "entry " << k;
+        ASSERT_EQ(di.addr, e.addr) << "entry " << k;
+        ASSERT_EQ(di.taken, e.taken) << "entry " << k;
+        ASSERT_EQ(si.pc, prog.instAddr(e.ref)) << "entry " << k;
+        cfg::RegSet fwd = depth == 0
+            ? part.fwdSafe[e.ref.func][e.ref.block][e.ref.index] : 0;
+        ASSERT_EQ(ts.fwdMask(di), fwd) << "entry " << k;
+
+        Opcode op = prog.inst(e.ref).op;
+        if (op == Opcode::Call) {
+            if (depth > 0)
+                ++depth;
+            else if (part.callIncluded(e.ref.blockRef()))
+                depth = 1;
+        } else if (op == Opcode::Ret && depth > 0) {
+            --depth;
+        }
+    }
+}
+
+} // anonymous namespace
+
+static_assert(sizeof(DynInst) == 16);
+
+TEST(TaskStream, RoundTripsWorkloadTraces)
+{
+    for (const char *w : {"compress", "tomcatv", "go"}) {
+        pipeline::Session session(
+            workloads::buildWorkload(w, workloads::Scale::Small));
+        for (Strategy s : {Strategy::BasicBlock, Strategy::ControlFlow,
+                           Strategy::DataDependence}) {
+            expectStreamRoundTrips(session, stageOptions(s, 100'000),
+                                   std::string(w) + "/" +
+                                       std::to_string(int(s)));
+        }
+    }
+}
+
+TEST(TaskStream, RoundTripsCorpusPrograms)
+{
+    std::vector<std::string> files = fuzz::corpusFiles(MSC_CORPUS_DIR);
+    ASSERT_FALSE(files.empty());
+    for (const auto &f : files) {
+        pipeline::Session session(fuzz::loadReproducer(f));
+        for (Strategy s : {Strategy::BasicBlock, Strategy::ControlFlow,
+                           Strategy::DataDependence}) {
+            expectStreamRoundTrips(session, stageOptions(s, 50'000),
+                                   f + "/" + std::to_string(int(s)));
+        }
+    }
+}
+
+/** The stream's whole footprint, task records and static rows
+ *  included, stays within 24 bytes per dynamic instruction. */
+TEST(TaskStream, BytesPerInstructionBounded)
+{
+    pipeline::Session session(
+        workloads::buildWorkload("compress", workloads::Scale::Full));
+    auto tt = session.trace(stageOptions(Strategy::DataDependence,
+                                         250'000));
+    ASSERT_EQ(tt->traceInsts, 250'000u);
+    double per_inst = double(tt->tasks.bytes()) / double(tt->traceInsts);
+    EXPECT_LE(per_inst, 24.0);
+    EXPECT_GE(tt->tasks.bytes(),
+              tt->traceInsts * sizeof(DynInst) +
+                  tt->tasks.tasks.size() * sizeof(DynTask));
+}
+
+TEST(TaskStream, LimitsRejectCountsBeyond32Bits)
+{
+    const uint64_t max = UINT32_MAX;
+    EXPECT_NO_THROW(checkStreamLimits(max, max));
+    try {
+        checkStreamLimits(max + 1, 10);
+        ADD_FAILURE() << "long trace accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("instruction index"),
+                  std::string::npos) << e.what();
+    }
+    try {
+        checkStreamLimits(10, max + 1);
+        ADD_FAILURE() << "large program accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("static index"),
+                  std::string::npos) << e.what();
+    }
+}
+
 TEST(Simulate, RetiresEverything)
 {
     auto pr = prepare(test::makeLoopProgram(30), Strategy::ControlFlow);
     SimStats s = simulate(pr.part, pr.tasks, SimConfig::paperConfig(4));
     EXPECT_EQ(s.retiredInsts, pr.trace.size());
-    EXPECT_EQ(s.retiredTasks, pr.tasks.size());
+    EXPECT_EQ(s.retiredTasks, pr.tasks.tasks.size());
     EXPECT_GT(s.cycles, 0u);
     EXPECT_GT(s.ipc(), 0.0);
 }
@@ -244,7 +392,7 @@ TEST(Simulate, TaskOverheadScalesWithTaskCount)
 TEST(Simulate, EmptyStreamIsFine)
 {
     auto pr = prepare(test::makeLoopProgram(1), Strategy::BasicBlock);
-    std::vector<DynTask> none;
+    TaskStream none;
     SimStats s = simulate(pr.part, none, SimConfig::paperConfig(4));
     EXPECT_EQ(s.cycles, 0u);
     EXPECT_EQ(s.retiredInsts, 0u);
@@ -261,7 +409,7 @@ TEST(Simulate, SingleTaskProgram)
     f.storeAbs(10, 0);
     f.halt();
     auto pr = prepare(b.build(), Strategy::ControlFlow);
-    ASSERT_EQ(pr.tasks.size(), 1u);
+    ASSERT_EQ(pr.tasks.tasks.size(), 1u);
     SimStats s = simulate(pr.part, pr.tasks, SimConfig::paperConfig(4));
     EXPECT_EQ(s.retiredTasks, 1u);
     EXPECT_EQ(s.retiredInsts, 5u);
@@ -277,7 +425,7 @@ TEST(Runner, PipelineEndToEnd)
     pipeline::StageResults r =
         pipeline::Session(test::makeLoopProgram(100)).runAll(o);
     EXPECT_GT(r.sim->stats.ipc(), 0.0);
-    EXPECT_GT(r.trace->tasks.size(), 0u);
+    EXPECT_GT(r.trace->tasks.tasks.size(), 0u);
     EXPECT_GE(r.transformed->ivsHoisted, 1u);
 }
 

@@ -199,7 +199,7 @@ struct SimPrep
 {
     ir::Program prog;
     tasksel::TaskPartition part;
-    std::vector<DynTask> tasks;
+    TaskStream tasks;
     size_t traceLen = 0;
 };
 
@@ -233,7 +233,7 @@ TEST_P(ConservationProperty, CyclesAndInstructionsConserved)
 
         // Instruction conservation: everything traced retires once.
         ASSERT_EQ(st.retiredInsts, pr.traceLen);
-        ASSERT_EQ(st.retiredTasks, pr.tasks.size());
+        ASSERT_EQ(st.retiredTasks, pr.tasks.tasks.size());
 
         // Useful cycles can't exceed what the issue width allows nor
         // undercut what the instruction count requires.
@@ -265,23 +265,25 @@ TEST_P(StreamProperty, DynamicStreamAgreesWithPartition)
     for (int s = 0; s < 3; ++s) {
         SimPrep pr = prepRandom(GetParam(), tasksel::Strategy(s));
         size_t total = 0;
-        for (size_t i = 0; i < pr.tasks.size(); ++i) {
-            const DynTask &t = pr.tasks[i];
-            total += t.insts.size();
+        const std::vector<DynTask> &tasks = pr.tasks.tasks;
+        for (size_t i = 0; i < tasks.size(); ++i) {
+            const DynTask &t = tasks[i];
+            total += t.size();
             const tasksel::Task &st = pr.part.tasks[t.staticTask];
+            auto insts = pr.tasks.instsOf(t);
             // Starts at the static entry.
-            ASSERT_EQ(t.insts.front().ref.block, st.entry);
+            ASSERT_EQ(pr.tasks.stat(insts.front()).ref.block, st.entry);
             // Every instruction's block is a member of the static
             // task (included calls aside — random programs have no
             // calls).
-            for (const DynInst &di : t.insts)
-                ASSERT_TRUE(st.contains(di.ref.block))
+            for (const DynInst &di : insts)
+                ASSERT_TRUE(st.contains(pr.tasks.stat(di).ref.block))
                     << "dyn task " << i;
             // The recorded successor matches the next task's entry.
-            if (i + 1 < pr.tasks.size()) {
+            if (i + 1 < tasks.size()) {
                 ASSERT_TRUE(t.nextEntry.valid());
                 ASSERT_EQ(t.nextEntry.block,
-                          pr.part.tasks[pr.tasks[i + 1].staticTask]
+                          pr.part.tasks[tasks[i + 1].staticTask]
                               .entry);
             }
         }
