@@ -75,6 +75,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -103,6 +104,20 @@
 using namespace msc;
 
 namespace {
+
+/** Parses --targets, rejecting what a request's "targets" may not
+ *  hold (a non-number counts as out of range; strtoull wraps a
+ *  negative one past the range). */
+unsigned
+parseTargets(const char *v)
+{
+    char *end = nullptr;
+    unsigned long long n = std::strtoull(v, &end, 10);
+    if (end == v || *end != '\0')
+        n = 0;
+    serve::checkTargets(n);
+    return unsigned(n);
+}
 
 ir::Program
 loadProgram(const std::string &spec)
@@ -286,7 +301,7 @@ cmdRun(int argc, char **argv)
                          : s == "cf" ? tasksel::Strategy::ControlFlow
                                      : tasksel::Strategy::DataDependence;
         } else if (const char *v3 = arg("--targets")) {
-            sel.maxTargets = unsigned(atoi(v3));
+            sel.maxTargets = parseTargets(v3);
         } else if (const char *v4 = arg("--insts")) {
             trace_insts = uint64_t(atoll(v4));
         } else if (const char *v5 = arg("--cache-dir")) {
@@ -417,7 +432,7 @@ cmdSweep(int argc, char **argv)
         } else if (const char *v5 = arg("--csv")) {
             csv_path = v5;
         } else if (const char *v6 = arg("--targets")) {
-            targets = unsigned(atoi(v6));
+            targets = parseTargets(v6);
         } else if (const char *v7 = arg("--insts")) {
             insts = uint64_t(atoll(v7));
         } else if (const char *v8 = arg("--cache-dir")) {
@@ -549,7 +564,7 @@ cmdTrace(int argc, char **argv)
         } else if (const char *v2 = arg("--strategy")) {
             sel.strategy = report::strategyFromId(v2);
         } else if (const char *v3 = arg("--targets")) {
-            sel.maxTargets = unsigned(atoi(v3));
+            sel.maxTargets = parseTargets(v3);
         } else if (const char *v4 = arg("--insts")) {
             trace_insts = uint64_t(atoll(v4));
         } else if (const char *v5 = arg("--out")) {

@@ -1,24 +1,40 @@
 #include "arch/cache.h"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace msc {
 namespace arch {
 
 Cache::Cache(const CacheConfig &cfg) : _cfg(cfg)
 {
-    _numSets = std::max<size_t>(
+    if (cfg.assoc == 0 || cfg.banks == 0)
+        throw std::invalid_argument("cache with zero ways or banks");
+    if (!std::has_single_bit(cfg.blockBytes))
+        throw std::invalid_argument(
+            "cache block size " + std::to_string(cfg.blockBytes) +
+            " is not a power of two");
+    uint64_t sets = std::max<uint64_t>(
         1, cfg.sizeBytes / (uint64_t(cfg.blockBytes) * cfg.assoc));
-    _lines.resize(_numSets * cfg.assoc);
+    if (!std::has_single_bit(sets))
+        throw std::invalid_argument(
+            "cache set count " + std::to_string(sets) +
+            " is not a power of two");
+    _blockShift = unsigned(std::countr_zero(cfg.blockBytes));
+    _setShift = unsigned(std::countr_zero(sets));
+    _setMask = sets - 1;
+    _lines.resize(size_t(sets) * cfg.assoc);
 }
 
 bool
 Cache::access(uint64_t addr)
 {
     ++_accesses;
-    uint64_t block = addr / _cfg.blockBytes;
-    size_t set = size_t(block % _numSets);
-    uint64_t tag = block / _numSets;
+    uint64_t block = addr >> _blockShift;
+    size_t set = size_t(block & _setMask);
+    uint64_t tag = block >> _setShift;
     Line *base = &_lines[set * _cfg.assoc];
 
     ++_tick;
@@ -44,9 +60,9 @@ Cache::access(uint64_t addr)
 bool
 Cache::probe(uint64_t addr) const
 {
-    uint64_t block = addr / _cfg.blockBytes;
-    size_t set = size_t(block % _numSets);
-    uint64_t tag = block / _numSets;
+    uint64_t block = addr >> _blockShift;
+    size_t set = size_t(block & _setMask);
+    uint64_t tag = block >> _setShift;
     const Line *base = &_lines[set * _cfg.assoc];
     for (unsigned w = 0; w < _cfg.assoc; ++w)
         if (base[w].valid && base[w].tag == tag)

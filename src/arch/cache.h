@@ -18,10 +18,19 @@
 namespace msc {
 namespace arch {
 
-/** LRU set-associative cache model (tags only). */
+/**
+ * LRU set-associative cache model (tags only). Block and set are
+ * selected with shifts and masks, so the block size and the set count
+ * must be powers of two. The bank count need not be: paperConfig
+ * interleaves as many banks as PUs, and any PU count is valid, so the
+ * bank is the block number's remainder.
+ */
 class Cache
 {
   public:
+    /** @throws std::invalid_argument when the block size or the set
+     *  count (size / (block x assoc)) is not a power of two, or the
+     *  way or bank count is zero. */
     explicit Cache(const CacheConfig &cfg);
 
     /**
@@ -36,6 +45,7 @@ class Cache
     unsigned hitLatency() const { return _cfg.hitLatency; }
     unsigned banks() const { return _cfg.banks; }
     unsigned blockBytes() const { return _cfg.blockBytes; }
+    unsigned blockShift() const { return _blockShift; }
 
     uint64_t accesses() const { return _accesses; }
     uint64_t misses() const { return _misses; }
@@ -43,7 +53,7 @@ class Cache
     unsigned
     bankOf(uint64_t addr) const
     {
-        return unsigned((addr / _cfg.blockBytes) % _cfg.banks);
+        return unsigned((addr >> _blockShift) % _cfg.banks);
     }
 
   private:
@@ -55,7 +65,9 @@ class Cache
     };
 
     CacheConfig _cfg;
-    size_t _numSets;
+    unsigned _blockShift = 0;   ///< log2(blockBytes).
+    unsigned _setShift = 0;     ///< log2(number of sets).
+    uint64_t _setMask = 0;      ///< Number of sets - 1.
     std::vector<Line> _lines;   ///< numSets * assoc.
     uint64_t _tick = 0;
     uint64_t _accesses = 0;

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -82,13 +83,14 @@ class TaskPredictor
      * Trains on the resolved outcome and rolls the path history.
      *
      * @param task_addr entry address of the resolved task.
-     * @param actual actual target number taken (pass 0 when the
-     *        actual target was untracked; the misprediction is
-     *        recorded by the caller).
+     * @param actual actual target number taken, < max_targets (pass 0
+     *        when the actual target was untracked; the misprediction
+     *        is recorded by the caller).
      */
     void
     update(uint64_t task_addr, unsigned actual)
     {
+        assert(actual < _maxTargets && "untracked targets train as 0");
         Entry &e = _entries[index(task_addr)];
         if (e.target == actual) {
             if (e.counter < 3)
@@ -96,7 +98,7 @@ class TaskPredictor
         } else if (e.counter > 0) {
             --e.counter;
         } else {
-            e.target = uint8_t(actual & (_maxTargets - 1));
+            e.target = uint8_t(actual);
             e.counter = 1;
         }
         // Path history: fold in the task address and the taken target.

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "arch/arb.h"
 #include "arch/cache.h"
 #include "arch/predictors.h"
 #include "arch/ring.h"
+#include "arch/synctable.h"
 #include "cfg/liveness.h"
 #include "obs/tracesink.h"
 
@@ -242,7 +241,9 @@ class Simulator
     TaskPredictor _taskPred;
     ReturnAddressStack _ras;
 
-    std::deque<std::unique_ptr<Instance>> _window;
+    /** In-flight instances, oldest first (at most numPUs, so a
+     *  retire's pop-front moves a handful of pointers). */
+    std::vector<std::unique_ptr<Instance>> _window;
     std::vector<bool> _puBusy;
     uint64_t _now = 0;
     uint64_t _nextSeq = 0;
@@ -313,11 +314,16 @@ class Simulator
     uint64_t _arbCap = 0;               ///< arbOverflowStalls increments.
 
     /// Allocation-free busy path: retired/squashed instances return to
-    /// the pool and are reused (resetForReuse), and ring-arrival
-    /// buffers use member scratch instead of fresh vectors.
+    /// the pool and are reused (resetForReuse).
     std::vector<std::unique_ptr<Instance>> _pool;
-    std::vector<uint64_t> _arrScratch;
     /// @}
+
+    /**
+     * Set when an instance completes or mispredicts its successor,
+     * the only transitions that can create resolveControl's squash
+     * condition; resolveControl scans the window only when it is set.
+     */
+    bool _ctrlDirty = false;
 };
 
 template <bool EV>
@@ -337,9 +343,13 @@ Simulator<EV>::trainTaskPredictor(Instance &pred)
     // order and predict-time and train-time indices agree.
     if (pred.predUpdated || pred.task->last)
         return;
+    // A successor outside the task's first maxTargets targets has no
+    // target number the predictor could hold: it trains as 0, like an
+    // untracked one (assignPhase never counts either as correct).
     int actual = pred.task->actualTargetIdx;
+    bool tracked = actual >= 0 && unsigned(actual) < _cfg.maxTargets;
     _taskPred.update(taskEntryAddr(pred.task->staticTask),
-                     actual >= 0 ? unsigned(actual) : 0);
+                     tracked ? unsigned(actual) : 0);
     pred.predUpdated = true;
 }
 
@@ -421,19 +431,16 @@ Simulator<EV>::broadcastReg(Instance &in, RegId r, uint64_t when)
         return;
     _progress = true;
     in.forwardedRegs |= cfg::regBit(r);
-    // Event core: reuse one arrival buffer (broadcast assigns it).
-    // The delivery loop below must read from fwdArr, not the buffer:
-    // deliver() can re-enter broadcastReg (chained release), which
-    // would clobber a shared scratch. fwdArr[r] holds the same values
-    // and no nested call touches this (instance, reg) pair again.
-    std::vector<uint64_t> arrivalsRef;
-    std::vector<uint64_t> &arrivals = EV ? _arrScratch : arrivalsRef;
-    _ring.broadcast(in.pu, when, arrivals);
-    in.fwdArr[r].assign(arrivals.begin(), arrivals.end());
+    // deliver() can re-enter broadcastReg (chained release), but
+    // never for this (instance, reg) pair again, so arrivals stays
+    // valid across the loop.
+    std::vector<uint64_t> &arrivals = in.fwdArr[r];
+    arrivals.resize(_cfg.numPUs);
+    _ring.broadcast(in.pu, when, _now, arrivals.data());
     for (uint64_t cseq : in.subs[r]) {
         Instance *c = bySeq(cseq);
         if (c)
-            deliver(*c, r, in.fwdArr[r][c->pu]);
+            deliver(*c, r, arrivals[c->pu]);
     }
     in.subs[r].clear();
 }
@@ -480,7 +487,7 @@ Simulator<EV>::dispatchInsts(Instance &in)
         const StaticInst &si = _stream.stat(di);
 
         // I-cache: one line lookup per new line.
-        uint64_t line = si.pc / _cfg.l1i.blockBytes;
+        uint64_t line = si.pc >> _hier.l1i().blockShift();
         if (line != in.curFetchLine) {
             // The lookup itself mutates cache state (LRU, counters)
             // even when it blocks fetch, so it counts as progress.
@@ -663,6 +670,7 @@ Simulator<EV>::writebacks(Instance &in)
     if (!in.completed && in.dispatched == in.numInsts() &&
         in.doneCount == in.numInsts()) {
         _progress = true;
+        _ctrlDirty = true;
         in.completed = true;
         in.completionCycle = _now;
 
@@ -847,7 +855,11 @@ void
 Simulator<EV>::resolveControl()
 {
     // The oldest completed task with a mispredicted successor squashes
-    // everything younger.
+    // everything younger. A scan leaves no such task behind (the one
+    // found is reset and everything younger squashed).
+    if (!_ctrlDirty)
+        return;
+    _ctrlDirty = false;
     for (auto &up : _window) {
         Instance &in = *up;
         if (in.bogus || !in.completed)
@@ -948,7 +960,7 @@ Simulator<EV>::retirePhase()
     _puBusy[head.pu] = false;
     if constexpr (EV)
         _pool.push_back(std::move(_window.front()));
-    _window.pop_front();
+    _window.erase(_window.begin());
     if (_sink)
         emitCounters();
 }
@@ -1022,6 +1034,7 @@ Simulator<EV>::assignPhase()
             if (!correct) {
                 _stats.taskMispredictions++;
                 pred.mispredictedSuccessor = true;
+                _ctrlDirty = true;
                 bogus = true;
             }
             trainTaskPredictor(pred);
@@ -1056,14 +1069,12 @@ Simulator<EV>::assignPhase()
         in->createMask = st.createMask;
         size_t n = in->task->count;
         in->slots.assign(n, Slot{});
-        if constexpr (EV) {
-            // Keep the inner waiter lists' capacity across reuse.
+        // Grow only: a pooled instance keeps its inner waiter lists
+        // (and their capacity) beyond n for later, longer tasks.
+        if (in->waiters.size() < n)
             in->waiters.resize(n);
-            for (auto &w : in->waiters)
-                w.clear();
-        } else {
-            in->waiters.assign(n, {});
-        }
+        for (size_t i = 0; i < n; ++i)
+            in->waiters[i].clear();
         in->lastWriter.fill(-1);
         initRegAvail(*in);
         // Pending store PCs for synchronization gating (precomputed
@@ -1202,12 +1213,6 @@ Simulator<EV>::skipTo(uint64_t target)
                 _sink->instant(obs::InstantKind::ArbOverflow, pu, c);
     }
 
-    // Ring hygiene the stepping loop would have performed at 0x10000
-    // boundaries: one trim at the largest crossed boundary covers all.
-    uint64_t b = target & ~0xffffull;
-    if (b >= _now + 1 && b > 1024)
-        _ring.trimBefore(b - 1024);
-
     _stats.eventSkippedCycles += n;
     _now = target;
 }
@@ -1247,8 +1252,6 @@ Simulator<EV>::run()
         processViolations();
         resolveControl();
         ++_now;
-        if ((_now & 0xffff) == 0)
-            _ring.trimBefore(_now > 1024 ? _now - 1024 : 0);
         if constexpr (EV) if (!_progress) {
             uint64_t target = std::min(nextEventCycle(), _cfg.maxCycles);
             if (_gov) {

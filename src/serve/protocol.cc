@@ -216,9 +216,9 @@ parseImpl(const std::string &payload, const RequestDefaults &defaults)
 
     workloads::Scale scale = scaleField(doc);
     uint64_t insts = uintField(doc, "insts", 250'000);
-    unsigned targets = unsigned(uintField(doc, "targets", 4));
-    if (targets < 1 || targets > 64)
-        bad("\"targets\" must be in [1, 64]");
+    const uint64_t targets_field = uintField(doc, "targets", 4);
+    checkTargets(targets_field);
+    const unsigned targets = unsigned(targets_field);
     bool in_order = boolField(doc, "in_order", false);
     bool size_heur = boolField(doc, "size", false);
     checkCoreField(doc);
@@ -245,6 +245,14 @@ parseImpl(const std::string &payload, const RequestDefaults &defaults)
 }
 
 } // anonymous namespace
+
+void
+checkTargets(uint64_t targets)
+{
+    if (targets < MIN_TARGETS || targets > MAX_TARGETS)
+        bad("\"targets\" must be in [" + std::to_string(MIN_TARGETS) +
+            ", " + std::to_string(MAX_TARGETS) + "]");
+}
 
 const char *
 verbName(RequestKind k)

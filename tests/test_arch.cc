@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "arch/arb.h"
 #include "arch/cache.h"
 #include "arch/predictors.h"
 #include "arch/ring.h"
 #include "arch/stats.h"
+#include "arch/synctable.h"
 
 using namespace msc;
 using namespace msc::arch;
@@ -51,6 +54,41 @@ TEST(Cache, ProbeDoesNotFill)
     EXPECT_FALSE(c.probe(0x40));
     EXPECT_FALSE(c.probe(0x40));
     EXPECT_EQ(c.accesses(), 0u);
+}
+
+TEST(Cache, RejectsGeometryTheShiftsCannotIndex)
+{
+    auto rejects = [](CacheConfig cfg) {
+        EXPECT_THROW(Cache{cfg}, std::invalid_argument)
+            << cfg.sizeBytes << "/" << cfg.assoc << "/" << cfg.blockBytes;
+    };
+    rejects({1024, 2, 24, 1, 1});       // 24-byte blocks.
+    rejects({3 * 32 * 2, 2, 32, 1, 1}); // 3 sets.
+    rejects({1024, 0, 32, 1, 1});       // No ways.
+    rejects({1024, 2, 32, 1, 0});       // No banks.
+
+    SimConfig cfg;
+    cfg.l1d.blockBytes = 48;
+    EXPECT_THROW(MemoryHierarchy{cfg}, std::invalid_argument);
+
+    // Every geometry in the tree is accepted: the paper's (any PU
+    // count) and bench_micro's 4 KB direct-mapped L1s.
+    for (unsigned pus : {1u, 3u, 4u, 6u, 8u})
+        EXPECT_NO_THROW(MemoryHierarchy{SimConfig::paperConfig(pus)});
+    EXPECT_NO_THROW(Cache(CacheConfig{4 * 1024, 1, 32, 1, 4}));
+}
+
+TEST(Cache, BankCountNeedNotBeAPowerOfTwo)
+{
+    // paperConfig(3) interleaves 3 banks: blocks rotate over them.
+    Cache c(CacheConfig{1024, 2, 32, 1, 3});
+    EXPECT_EQ(c.bankOf(0), 0u);
+    EXPECT_EQ(c.bankOf(32), 1u);
+    EXPECT_EQ(c.bankOf(64 + 31), 2u);
+    EXPECT_EQ(c.bankOf(96), 0u);
+    Cache four(CacheConfig{1024, 2, 32, 1, 4});
+    EXPECT_EQ(four.bankOf(3 * 32), 3u);
+    EXPECT_EQ(four.bankOf(4 * 32), 0u);
 }
 
 TEST(MemoryHierarchyTest, LatenciesCompose)
@@ -199,6 +237,16 @@ TEST(TaskPredictorTest, LearnsDominantTarget)
     EXPECT_EQ(tp.predict(0x100), 2u);
 }
 
+TEST(TaskPredictorTest, KeepsEveryTargetOfANonPowerOfTwoCount)
+{
+    // With 3 targets, target 1 must be stored as 1 (masking with
+    // maxTargets - 1 = 2 turned it into 0).
+    TaskPredictor tp(8, 4096, 3);
+    for (int i = 0; i < 32; ++i)
+        tp.update(0x100, 1);
+    EXPECT_EQ(tp.predict(0x100), 1u);
+}
+
 TEST(TaskPredictorTest, PathHistoryDisambiguates)
 {
     TaskPredictor tp(8, 1 << 16, 4);
@@ -246,8 +294,8 @@ TEST(RasTest, OverflowDropsOldest)
 TEST(RingTest, AdjacentBypassSameCycle)
 {
     Ring ring(4, 2);
-    std::vector<uint64_t> arr;
-    ring.broadcast(0, 100, arr);
+    std::vector<uint64_t> arr(4);
+    ring.broadcast(0, 100, 100, arr.data());
     EXPECT_EQ(arr[0], 100u);
     EXPECT_EQ(arr[1], 100u);   // Same-cycle bypass to the neighbour.
     EXPECT_EQ(arr[2], 101u);
@@ -257,10 +305,10 @@ TEST(RingTest, AdjacentBypassSameCycle)
 TEST(RingTest, BandwidthLimitsQueueing)
 {
     Ring ring(2, 1);           // 1 value/cycle/link.
-    std::vector<uint64_t> a1, a2, a3;
-    ring.broadcast(0, 50, a1);
-    ring.broadcast(0, 50, a2);
-    ring.broadcast(0, 50, a3);
+    std::vector<uint64_t> a1(2), a2(2), a3(2);
+    ring.broadcast(0, 50, 50, a1.data());
+    ring.broadcast(0, 50, 50, a2.data());
+    ring.broadcast(0, 50, 50, a3.data());
     EXPECT_EQ(a1[1], 50u);
     EXPECT_EQ(a2[1], 51u);     // Second value waits a cycle.
     EXPECT_EQ(a3[1], 52u);
@@ -269,8 +317,8 @@ TEST(RingTest, BandwidthLimitsQueueing)
 TEST(RingTest, WrapsAroundFromAnyPu)
 {
     Ring ring(4, 2);
-    std::vector<uint64_t> arr;
-    ring.broadcast(2, 10, arr);
+    std::vector<uint64_t> arr(4);
+    ring.broadcast(2, 10, 10, arr.data());
     EXPECT_EQ(arr[2], 10u);
     EXPECT_EQ(arr[3], 10u);
     EXPECT_EQ(arr[0], 11u);

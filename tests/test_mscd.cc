@@ -258,6 +258,40 @@ TEST(MscdProtocol, RejectsMalformedRequests)
     rejects(wide + "]}");
 }
 
+TEST(MscdProtocol, TargetsRangeIsCheckTargets)
+{
+    // One definition: a request's "targets" and msctool --targets
+    // both go through checkTargets, so they reject the same values
+    // with the same message.
+    RequestDefaults d;
+    auto run = [](const std::string &targets) {
+        return runPayload("x", "compress", ",\"targets\":" + targets);
+    };
+    for (uint64_t t : {uint64_t(0), uint64_t(MAX_TARGETS) + 1,
+                       (uint64_t(1) << 32) + 4}) {
+        std::string want;
+        try {
+            checkTargets(t);
+            ADD_FAILURE() << "checkTargets accepted " << t;
+        } catch (const runtime::StageError &e) {
+            want = e.what();
+        }
+        EXPECT_NE(want.find("\"targets\" must be in [1, 64]"),
+                  std::string::npos) << want;
+        try {
+            parseRequest(run(std::to_string(t)), d);
+            ADD_FAILURE() << "request accepted targets " << t;
+        } catch (const runtime::StageError &e) {
+            EXPECT_EQ(std::string(e.what()), want);
+        }
+    }
+    for (unsigned t : {MIN_TARGETS, MAX_TARGETS}) {
+        EXPECT_NO_THROW(checkTargets(t));
+        EXPECT_EQ(parseRequest(run(std::to_string(t)), d)
+                      .specs.at(0).opts.sel.maxTargets, t);
+    }
+}
+
 TEST(MscdProtocol, ExtractsIdBestEffort)
 {
     EXPECT_EQ(extractRequestId("{\"id\":\"r7\",\"kind\":4}"), "r7");
