@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "arch/config.h"
+#include "client/cli.h"
 #include "report/record.h"
 #include "report/sweep.h"
 #include "tasksel/options.h"
@@ -71,11 +72,12 @@ struct BenchOptions
 /**
  * Parses --jobs/--json/--csv (and --help) from argv. Exits with a
  * usage message on unknown flags so a typo can't silently run a
- * multi-minute sweep with default settings.
+ * multi-minute sweep with default settings, and with parseUInt's
+ * message (exit 2) on a bad --jobs.
  */
 inline BenchOptions
 parseBenchArgs(int argc, char **argv)
-{
+try {
     BenchOptions o;
     auto usage = [&](int code) {
         std::fprintf(stderr,
@@ -105,7 +107,8 @@ parseBenchArgs(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--jobs")
-            o.jobs = unsigned(atoi(val()));
+            o.jobs = unsigned(
+                client::parseUInt("--jobs", val(), client::MAX_JOBS));
         else if (a == "--json")
             o.jsonPath = val();
         else if (a == "--csv")
@@ -126,6 +129,9 @@ parseBenchArgs(int argc, char **argv)
         }
     }
     return o;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
 }
 
 /**

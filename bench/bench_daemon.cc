@@ -41,6 +41,7 @@
 #include <csignal>
 #include <unistd.h>
 
+#include "client/cli.h"
 #include "client/client.h"
 #include "report/record.h"
 #include "serve/router.h"
@@ -63,7 +64,7 @@ struct Options
 
 Options
 parseArgs(int argc, char **argv)
-{
+try {
     Options o;
     auto usage = [&](int code) {
         std::fprintf(
@@ -89,11 +90,14 @@ parseArgs(int argc, char **argv)
             return argv[++i];
         };
         if (a == "--requests")
-            o.requests = unsigned(atoi(val()));
+            o.requests = unsigned(client::parseUInt(a.c_str(), val(),
+                                                    UINT32_MAX));
         else if (a == "--shards")
-            o.shards = unsigned(atoi(val()));
+            o.shards = unsigned(client::parseUInt(a.c_str(), val(),
+                                                  client::MAX_JOBS));
         else if (a == "--jobs")
-            o.jobs = unsigned(atoi(val()));
+            o.jobs = unsigned(client::parseUInt(a.c_str(), val(),
+                                                client::MAX_JOBS));
         else if (a == "--json")
             o.jsonPath = val();
         else if (a == "--help" || a == "-h")
@@ -106,6 +110,9 @@ parseArgs(int argc, char **argv)
     if (!o.requests || !o.shards)
         usage(2);
     return o;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
 }
 
 struct TempDir

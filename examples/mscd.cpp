@@ -40,6 +40,9 @@
  *                    versions of every document the daemon can emit,
  *                    then exit 0.
  *
+ * Numeric options parse through client::parseUInt (--jobs at most
+ * client::MAX_JOBS); a malformed or out-of-range value exits 1.
+ *
  * Exit code 0 on clean shutdown (end-of-stream in --stdio mode,
  * SIGINT/SIGTERM in listener modes), 1 on setup failure or bad usage.
  *
@@ -49,12 +52,11 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "client/cli.h"
 #include "client/endpoint.h"
 #include "obs/taskprof.h"
 #include "report/record.h"
@@ -113,10 +115,10 @@ printVersion(const char *prog)
 
 int
 main(int argc, char **argv)
-{
+try {
     enum class Mode { None, Stdio, Unix, Tcp } mode = Mode::None;
     std::string unix_path;
-    long tcp_port = 0;
+    uint16_t tcp_port = 0;
     bool router = false;
     std::vector<client::Endpoint> shards;
 
@@ -127,11 +129,12 @@ main(int argc, char **argv)
         auto arg = [&](const char *name) -> const char * {
             if (a != name)
                 return nullptr;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "mscd: %s needs a value\n", name);
-                std::exit(1);
-            }
+            if (i + 1 >= argc)
+                throw std::runtime_error(a + " needs a value");
             return argv[++i];
+        };
+        auto number = [&](const char *v, uint64_t max) {
+            return client::parseUInt(a.c_str(), v, max);
         };
         if (a == "--version") {
             return printVersion("mscd");
@@ -146,40 +149,34 @@ main(int argc, char **argv)
             unix_path = v;
         } else if (const char *v1 = arg("--tcp")) {
             mode = Mode::Tcp;
-            tcp_port = atol(v1);
-            if (tcp_port < 1 || tcp_port > 65535) {
+            tcp_port = uint16_t(number(v1, 65535));
+            if (tcp_port == 0) {
                 std::fprintf(stderr, "mscd: bad port %s\n", v1);
                 return 1;
             }
         } else if (const char *vs = arg("--shard")) {
-            try {
-                client::Endpoint ep = client::parseEndpoint(vs);
-                if (ep.kind == client::Endpoint::Kind::Stdio) {
-                    std::fprintf(
-                        stderr,
-                        "mscd: --shard cannot be stdio (a shard "
-                        "needs its own listener)\n");
-                    return 1;
-                }
-                shards.push_back(std::move(ep));
-            } catch (const std::exception &e) {
-                std::fprintf(stderr, "mscd: %s\n", e.what());
+            client::Endpoint ep = client::parseEndpoint(vs);
+            if (ep.kind == client::Endpoint::Kind::Stdio) {
+                std::fprintf(stderr,
+                             "mscd: --shard cannot be stdio (a shard "
+                             "needs its own listener)\n");
                 return 1;
             }
+            shards.push_back(std::move(ep));
         } else if (const char *v2 = arg("--jobs")) {
-            cfg.dispatch.jobs = unsigned(atoi(v2));
+            cfg.dispatch.jobs = unsigned(number(v2, client::MAX_JOBS));
         } else if (const char *v3 = arg("--cache-dir")) {
             cfg.dispatch.session.cacheDir = v3;
         } else if (const char *v4 = arg("--max-frame")) {
-            cfg.maxFrame = uint32_t(atoll(v4));
+            cfg.maxFrame = uint32_t(number(v4, UINT32_MAX));
         } else if (const char *v8 = arg("--max-inflight")) {
-            cfg.maxInflight = unsigned(atoll(v8));
+            cfg.maxInflight = unsigned(number(v8, UINT32_MAX));
         } else if (const char *v5 = arg("--timeout-ms")) {
-            cfg.defaults.budget.wallMs = uint32_t(atoll(v5));
+            cfg.defaults.budget.wallMs = uint32_t(number(v5, UINT32_MAX));
         } else if (const char *v6 = arg("--max-fuel")) {
-            cfg.defaults.budget.maxFuel = uint64_t(atoll(v6));
+            cfg.defaults.budget.maxFuel = number(v6, UINT64_MAX);
         } else if (const char *v7 = arg("--max-cycles")) {
-            cfg.defaults.budget.maxSimCycles = uint64_t(atoll(v7));
+            cfg.defaults.budget.maxSimCycles = number(v7, UINT64_MAX);
         } else {
             std::fprintf(stderr, "mscd: unknown option %s\n",
                          a.c_str());
@@ -225,9 +222,12 @@ main(int argc, char **argv)
       case Mode::Unix:
         return daemon->serveUnix(unix_path);
       case Mode::Tcp:
-        return daemon->serveTcp(uint16_t(tcp_port));
+        return daemon->serveTcp(tcp_port);
       case Mode::None:
         break;
     }
     return usage();
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "mscd: %s\n", e.what());
+    return 1;
 }

@@ -26,9 +26,9 @@
  *       as `status: "error"` objects in a `partial: true` document
  *       (docs/ROBUSTNESS.md). Exit code: 0 all cells ok, 1 all
  *       failed, 3 partial (some of each).
- *   msctool fuzz [--count N] [--seed S] [--jobs N] [--size 0..3]
- *               [--max-insts N] [--corpus-dir DIR] [--no-shrink]
- *               [--timeout-ms N] [--max-fuel N]
+ *   msctool fuzz [--count N] [--seed S] [--jobs N] [--max-insts N]
+ *               [--corpus-dir DIR] [--no-shrink] [--timeout-ms N]
+ *               [--max-fuel N]
  *       Differential fuzzing: random programs through three
  *       independent oracles under every selection strategy
  *       (docs/TESTING.md). Nonzero exit on any divergence.
@@ -69,20 +69,27 @@
  * (--cache-dir, --jobs, --check, --phase-times) and `.mir` files
  * don't travel over the wire and are rejected with --connect.
  *
+ * The other flags of run/sweep/trace fill the request a daemon would
+ * get, and serve::parseRequest checks it before any work starts, so
+ * local runs take the wire's ranges and messages (docs/DAEMON.md).
+ * Host-side numbers parse through client::parseUInt.
+ *
  * Files with a `.mir` extension are parsed with ir::parseProgram, so
  * hand-written programs work everywhere a workload name does
  * (locally).
  */
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "arch/stats.h"
+#include "client/cli.h"
 #include "client/client.h"
 #include "fuzz/campaign.h"
 #include "ir/parser.h"
@@ -96,8 +103,6 @@
 #include "profile/interpreter.h"
 #include "report/record.h"
 #include "report/sweep.h"
-#include "runtime/budget.h"
-#include "serve/frame.h"
 #include "serve/protocol.h"
 #include "workloads/workload.h"
 
@@ -105,25 +110,19 @@ using namespace msc;
 
 namespace {
 
-/** Parses --targets, rejecting what a request's "targets" may not
- *  hold (a non-number counts as out of range; strtoull wraps a
- *  negative one past the range). */
-unsigned
-parseTargets(const char *v)
+/** True for a `.mir` file name (parsed, not looked up as a
+ *  workload). */
+bool
+isMirFile(const std::string &spec)
 {
-    char *end = nullptr;
-    unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0')
-        n = 0;
-    serve::checkTargets(n);
-    return unsigned(n);
+    return spec.size() > 4 &&
+           spec.compare(spec.size() - 4, 4, ".mir") == 0;
 }
 
 ir::Program
-loadProgram(const std::string &spec)
+loadProgram(const std::string &spec, workloads::Scale scale)
 {
-    if (spec.size() > 4 &&
-        spec.compare(spec.size() - 4, 4, ".mir") == 0) {
+    if (isMirFile(spec)) {
         std::ifstream in(spec);
         if (!in)
             throw std::runtime_error("cannot open " + spec);
@@ -131,7 +130,165 @@ loadProgram(const std::string &spec)
         ss << in.rdbuf();
         return ir::parseProgram(ss.str());
     }
-    return workloads::buildWorkload(spec, workloads::Scale::Small);
+    return workloads::buildWorkload(spec, scale);
+}
+
+// ---------------------------------------------------------------------------
+// Flags. Request flags copy the user's text into a client::Request-
+// Builder, and serve::parseRequest checks the request exactly as a
+// daemon would, so each field has one range and one message whether
+// the work runs here or behind --connect. Host-side flags never enter
+// the request.
+
+/** The verbs taking request flags, as RequestFlag::verbs bits. */
+constexpr unsigned RUN = 1, SWEEP = 2, TRACE = 4, ALL = 7;
+
+/** How a request flag becomes a request field. */
+enum class Form : uint8_t
+{
+    True,    ///< A switch: the field becomes true.
+    Small,   ///< A switch: the field becomes "small".
+    Number,  ///< An integer value.
+    Name,    ///< A string value.
+    Budget,  ///< An integer value inside the `budget` object.
+};
+
+struct RequestFlag
+{
+    const char *flag;
+    unsigned verbs;  ///< The verbs accepting it.
+    const char *field;
+    Form form;
+    /** Sweep: the list field a comma-separated value fills instead
+     *  (null: one value into `field`, as for run and trace). */
+    const char *sweepList = nullptr;
+};
+
+const RequestFlag REQUEST_FLAGS[] = {
+    {"--pus", ALL, "pus", Form::Number, "pus"},
+    {"--strategy", ALL, "strategy", Form::Name, "strategies"},
+    {"--targets", ALL, "targets", Form::Number},
+    {"--insts", ALL, "insts", Form::Number},
+    {"--in-order", ALL, "in_order", Form::True},
+    {"--size", ALL, "size", Form::True},
+    {"--small", SWEEP, "scale", Form::Small},
+    {"--timeout-ms", RUN | SWEEP, "timeout_ms", Form::Budget},
+    {"--max-fuel", RUN | SWEEP, "max_fuel", Form::Budget},
+    {"--max-cycles", RUN | SWEEP, "max_cycles", Form::Budget},
+};
+
+/** A host-side flag; exactly one target is set. */
+struct HostFlag
+{
+    const char *flag;
+    std::string *text = nullptr;  ///< Receives the value as given.
+    uint64_t *number = nullptr;   ///< Receives the parseUInt'd value.
+    uint64_t max = UINT64_MAX;    ///< Upper bound for `number`.
+    bool *on = nullptr;           ///< A switch: set when present.
+};
+
+/** The wire value for a numeric flag: the integer its text spells,
+ *  else the text itself, which the request parser then rejects with
+ *  its own message. */
+report::Json
+wireNumber(const std::string &text)
+{
+    const char *end = text.data() + text.size();
+    int64_t n = 0;
+    auto [ptr, ec] = std::from_chars(text.data(), end, n);
+    if (ec == std::errc() && ptr == end)
+        return report::Json(n);
+    return report::Json(text);
+}
+
+/** Splits "a,b,c" into {"a","b","c"}. */
+std::vector<std::string>
+splitList(const std::string &s)
+{
+    std::vector<std::string> out;
+    size_t pos = 0;
+    while (pos <= s.size()) {
+        size_t comma = s.find(',', pos);
+        if (comma == std::string::npos)
+            comma = s.size();
+        if (comma > pos)
+            out.push_back(s.substr(pos, comma - pos));
+        pos = comma + 1;
+    }
+    return out;
+}
+
+/**
+ * Parses @p argv: @p host flags into their targets, the request flags
+ * @p verb accepts into @p req, bare words into @p words (null: a bare
+ * word is an unknown flag). Throws on anything else.
+ */
+void
+parseFlags(int argc, char **argv, std::initializer_list<HostFlag> host,
+           client::RequestBuilder *req = nullptr, unsigned verb = 0,
+           std::vector<std::string> *words = nullptr)
+{
+    report::Json budget = report::Json::object();
+    for (int i = 0; i < argc; ++i) {
+        const std::string a = argv[i];
+        auto value = [&]() -> const char * {
+            if (i + 1 >= argc)
+                throw std::runtime_error(a + " needs a value");
+            return argv[++i];
+        };
+        const HostFlag *hf = nullptr;
+        for (const HostFlag &f : host)
+            hf = a == f.flag ? &f : hf;
+        if (hf) {
+            if (hf->on)
+                *hf->on = true;
+            else if (hf->text)
+                *hf->text = value();
+            else
+                *hf->number = client::parseUInt(hf->flag, value(),
+                                                hf->max);
+            continue;
+        }
+        const RequestFlag *rf = nullptr;
+        for (const RequestFlag &f : REQUEST_FLAGS)
+            rf = (f.verbs & verb) && a == f.flag ? &f : rf;
+        if (!rf) {
+            if (!words || a.rfind("--", 0) == 0)
+                throw std::runtime_error("unknown flag " + a);
+            words->push_back(a);
+            continue;
+        }
+        if (rf->form == Form::True || rf->form == Form::Small) {
+            req->set(rf->field, rf->form == Form::True
+                                    ? report::Json(true)
+                                    : report::Json("small"));
+            continue;
+        }
+        const std::string text = value();
+        auto one = [&](const std::string &item) {
+            return rf->form == Form::Name ? report::Json(item)
+                                          : wireNumber(item);
+        };
+        if (rf->form == Form::Budget) {
+            budget[rf->field] = one(text);
+        } else if (verb == SWEEP && rf->sweepList) {
+            report::Json list = report::Json::array();
+            for (const auto &item : splitList(text))
+                list.push(one(item));
+            req->set(rf->sweepList, std::move(list));
+        } else {
+            req->set(rf->field, one(text));
+        }
+    }
+    if (budget.size())
+        req->set("budget", std::move(budget));
+}
+
+/** The grid @p req resolves to, checked by the protocol's parser. */
+std::vector<report::RunSpec>
+requestSpecs(const client::RequestBuilder &req)
+{
+    return serve::parseRequest(req.payload(), {}).specs;
 }
 
 // ---------------------------------------------------------------------------
@@ -169,8 +326,16 @@ struct Remote
     }
 };
 
-/** One sweep-table row from a wire `run` object (msc.sweep schema —
- *  the same row cmdSweep prints for a local RunRecord). */
+/** The header of the sweep table printRunRow fills. */
+void
+printRunHeader(std::FILE *out)
+{
+    std::fprintf(out, "%-28s %8s %9s %7s %7s %8s\n", "run", "IPC",
+                 "cycles", "tasks", "tpred%", "span");
+}
+
+/** One sweep-table row from a `run` object of the msc.sweep schema:
+ *  a local record's report::runToJson, or a daemon's cell. */
 void
 printRunRow(std::FILE *out, const report::Json &run)
 {
@@ -187,11 +352,9 @@ printRunRow(std::FILE *out, const report::Json &run)
                          .asDouble(),
                      m.get("window_span").get("measured").asDouble());
     } else {
-        const report::Json &e = run.get("error");
-        std::fprintf(out, "%-28s ERROR %s: %s: %s\n", id.c_str(),
-                     e.get("stage").asString().c_str(),
-                     e.get("kind").asString().c_str(),
-                     e.get("detail").asString().c_str());
+        std::fprintf(
+            out, "%-28s ERROR %s\n", id.c_str(),
+            report::errorFromJson(run.get("error")).render().c_str());
     }
 }
 
@@ -207,8 +370,7 @@ streamRemoteSweep(const Remote &remote,
 {
     std::FILE *out = remote.out();
     client::ClientConn conn(remote.endpoint());
-    std::fprintf(out, "%-28s %8s %9s %7s %7s %8s\n", "run", "IPC",
-                 "cycles", "tasks", "tpred%", "span");
+    printRunHeader(out);
     client::ClientConn::SweepOutcome sw = conn.collectSweep(
         req, [&](const client::ResponseFrame &f) {
             if (f.type == client::ResponseFrame::Type::Cell) {
@@ -254,7 +416,7 @@ cmdList()
 int
 cmdDisasm(const std::string &spec)
 {
-    ir::Program p = loadProgram(spec);
+    ir::Program p = loadProgram(spec, workloads::Scale::Small);
     std::printf("%s", ir::toString(p).c_str());
     return 0;
 }
@@ -262,7 +424,7 @@ cmdDisasm(const std::string &spec)
 int
 cmdExec(const std::string &spec)
 {
-    ir::Program p = loadProgram(spec);
+    ir::Program p = loadProgram(spec, workloads::Scale::Small);
     profile::Interpreter in(p);
     uint64_t n = in.runQuiet();
     std::printf("%s: %llu instructions, halted=%d, checksum mem[0]=%lld\n",
@@ -274,86 +436,34 @@ cmdExec(const std::string &spec)
 int
 cmdRun(int argc, char **argv)
 {
-    std::string spec = argv[0];
-    tasksel::SelectionOptions sel;
-    uint64_t trace_insts = 400'000;
-    unsigned pus = 4;
-    bool ooo = true;
+    const std::string spec = argv[0];
+    client::RequestBuilder req =
+        client::RequestBuilder::run("run-cli", spec);
+    req.smallScale(true).insts(400'000);  // run's defaults
     std::string cache_dir;
-    runtime::ExecBudget budget;
     Remote remote;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto arg = [&](const char *name) -> const char * {
-            if (a != name)
-                return nullptr;
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(name) +
-                                         " needs a value");
-            return argv[++i];
-        };
-        if (const char *v = arg("--pus")) {
-            pus = unsigned(atoi(v));
-        } else if (const char *v2 = arg("--strategy")) {
-            std::string s = v2;
-            sel.strategy = s == "bb" ? tasksel::Strategy::BasicBlock
-                         : s == "cf" ? tasksel::Strategy::ControlFlow
-                                     : tasksel::Strategy::DataDependence;
-        } else if (const char *v3 = arg("--targets")) {
-            sel.maxTargets = parseTargets(v3);
-        } else if (const char *v4 = arg("--insts")) {
-            trace_insts = uint64_t(atoll(v4));
-        } else if (const char *v5 = arg("--cache-dir")) {
-            cache_dir = v5;
-        } else if (const char *v6 = arg("--timeout-ms")) {
-            budget.wallMs = uint32_t(atoll(v6));
-        } else if (const char *v7 = arg("--max-fuel")) {
-            budget.maxFuel = uint64_t(atoll(v7));
-        } else if (const char *v8 = arg("--max-cycles")) {
-            budget.maxSimCycles = uint64_t(atoll(v8));
-        } else if (const char *v10 = arg("--connect")) {
-            remote.spec = v10;
-        } else if (a == "--in-order") {
-            ooo = false;
-        } else if (a == "--size") {
-            sel.taskSizeHeuristic = true;
-        } else {
-            throw std::runtime_error("unknown flag " + a);
-        }
-    }
+    parseFlags(argc - 1, argv + 1,
+               {{.flag = "--cache-dir", .text = &cache_dir},
+                {.flag = "--connect", .text = &remote.spec}},
+               &req, RUN);
+    const report::RunSpec sp = requestSpecs(req).at(0);
     if (remote.enabled()) {
         remote.reject(!cache_dir.empty(), "--cache-dir");
-        remote.reject(spec.size() > 4 && spec.compare(spec.size() - 4,
-                                                      4, ".mir") == 0,
-                      "a .mir file");
-        client::RequestBuilder req =
-            client::RequestBuilder::run("run-cli", spec);
-        req.strategy(report::strategyId(sel.strategy))
-            .pusCount(pus)
-            .smallScale(true)  // local `run` builds Scale::Small too
-            .insts(trace_insts)
-            .targets(sel.maxTargets)
-            .inOrder(!ooo)
-            .sizeHeuristic(sel.taskSizeHeuristic)
-            .budget(budget);
+        remote.reject(isMirFile(spec), "a .mir file");
         return streamRemoteSweep(remote, req, "");
     }
-    pipeline::StageOptions o = pipeline::StageOptions::fromSelection(sel);
-    o.trace.traceInsts = trace_insts;
-    o.config = arch::SimConfig::paperConfig(pus, ooo);
-    o.config.maxTargets = sel.maxTargets;
-    o.budget = budget;
+    const pipeline::StageOptions &o = sp.opts;
 
-    pipeline::Session session(loadProgram(spec),
+    pipeline::Session session(loadProgram(spec, sp.scale),
                               pipeline::SessionConfig{cache_dir});
     pipeline::StageResults r = session.runAll(o);
     const tasksel::TaskPartition &partition = r.partition->partition;
     const arch::SimStats &st = r.sim->stats;
     std::printf("%s | %s tasks | %u %s PUs | N=%u%s\n", spec.c_str(),
-                tasksel::strategyName(sel.strategy), pus,
-                ooo ? "out-of-order" : "in-order", sel.maxTargets,
-                sel.taskSizeHeuristic ? " | +size" : "");
+                tasksel::strategyName(o.sel.strategy), o.config.numPUs,
+                o.config.outOfOrder ? "out-of-order" : "in-order",
+                o.sel.maxTargets,
+                o.sel.taskSizeHeuristic ? " | +size" : "");
     std::printf("  static tasks %zu (avg %.1f insts), unrolled %u, "
                 "hoisted %u, included calls %zu\n",
                 partition.size(), partition.avgStaticSize(),
@@ -377,145 +487,46 @@ cmdRun(int argc, char **argv)
     return 0;
 }
 
-/** Splits "a,b,c" into {"a","b","c"}. */
-std::vector<std::string>
-splitList(const std::string &s)
-{
-    std::vector<std::string> out;
-    size_t pos = 0;
-    while (pos <= s.size()) {
-        size_t comma = s.find(',', pos);
-        if (comma == std::string::npos)
-            comma = s.size();
-        if (comma > pos)
-            out.push_back(s.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
 int
 cmdSweep(int argc, char **argv)
 {
+    client::RequestBuilder req =
+        client::RequestBuilder::sweep("sweep-cli");
     std::vector<std::string> names;
-    std::vector<std::string> strategies = {"bb", "cf", "dd"};
-    std::vector<unsigned> pus = {4, 8};
-    unsigned jobs = 0;                 // default: all cores
-    unsigned targets = 4;
-    uint64_t insts = 250'000;
-    bool ooo = true, size_heur = false;
-    workloads::Scale scale = workloads::Scale::Full;
+    uint64_t jobs = 0;  // default: all cores
     std::string json_path, csv_path, cache_dir;
-    runtime::ExecBudget budget;
     Remote remote;
-
-    for (int i = 0; i < argc; ++i) {
-        std::string a = argv[i];
-        auto arg = [&](const char *name) -> const char * {
-            if (a != name)
-                return nullptr;
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(name) +
-                                         " needs a value");
-            return argv[++i];
-        };
-        if (const char *v = arg("--strategy")) {
-            strategies = splitList(v);
-        } else if (const char *v2 = arg("--pus")) {
-            pus.clear();
-            for (const auto &p : splitList(v2))
-                pus.push_back(unsigned(atoi(p.c_str())));
-        } else if (const char *v3 = arg("--jobs")) {
-            jobs = unsigned(atoi(v3));
-        } else if (const char *v4 = arg("--json")) {
-            json_path = v4;
-        } else if (const char *v5 = arg("--csv")) {
-            csv_path = v5;
-        } else if (const char *v6 = arg("--targets")) {
-            targets = parseTargets(v6);
-        } else if (const char *v7 = arg("--insts")) {
-            insts = uint64_t(atoll(v7));
-        } else if (const char *v8 = arg("--cache-dir")) {
-            cache_dir = v8;
-        } else if (const char *v9 = arg("--timeout-ms")) {
-            budget.wallMs = uint32_t(atoll(v9));
-        } else if (const char *v10 = arg("--max-fuel")) {
-            budget.maxFuel = uint64_t(atoll(v10));
-        } else if (const char *v11 = arg("--max-cycles")) {
-            budget.maxSimCycles = uint64_t(atoll(v11));
-        } else if (const char *v13 = arg("--connect")) {
-            remote.spec = v13;
-        } else if (a == "--in-order") {
-            ooo = false;
-        } else if (a == "--size") {
-            size_heur = true;
-        } else if (a == "--small") {
-            scale = workloads::Scale::Small;
-        } else if (a.size() >= 2 && a[0] == '-' && a[1] == '-') {
-            throw std::runtime_error("unknown flag " + a);
-        } else {
-            names.push_back(a);
-        }
-    }
+    parseFlags(argc, argv,
+               {{.flag = "--jobs", .number = &jobs,
+                 .max = client::MAX_JOBS},
+                {.flag = "--json", .text = &json_path},
+                {.flag = "--csv", .text = &csv_path},
+                {.flag = "--cache-dir", .text = &cache_dir},
+                {.flag = "--connect", .text = &remote.spec}},
+               &req, SWEEP, &names);
+    if (!names.empty())
+        req.workloads(names);  // else: the wire's default, all
+    const std::vector<report::RunSpec> specs = requestSpecs(req);
     if (remote.enabled()) {
         remote.reject(!cache_dir.empty(), "--cache-dir");
         remote.reject(jobs != 0, "--jobs");
         remote.reject(!csv_path.empty(), "--csv");
-        client::RequestBuilder req =
-            client::RequestBuilder::sweep("sweep-cli");
-        if (!names.empty())
-            req.workloads(names);  // else: server default = all
-        req.strategies(strategies)
-            .pus(pus)
-            .smallScale(scale == workloads::Scale::Small)
-            .insts(insts)
-            .targets(targets)
-            .inOrder(!ooo)
-            .sizeHeuristic(size_heur)
-            .budget(budget);
         return streamRemoteSweep(remote, req, json_path);
     }
-    if (names.empty())
-        for (const auto &w : workloads::allWorkloads())
-            names.push_back(w.name);
 
-    std::vector<report::RunSpec> specs;
-    for (const auto &n : names)
-        for (const auto &s : strategies)
-            for (unsigned p : pus) {
-                report::RunSpec sp = report::makeSpec(
-                    n, report::strategyFromId(s), p, ooo, scale, insts,
-                    size_heur, targets);
-                sp.opts.budget = budget;
-                specs.push_back(std::move(sp));
-            }
-
-    report::SweepRunner runner(jobs);
-    std::fprintf(stderr, "sweep: %zu runs (%zu workloads x %zu "
-                         "strategies x %zu PU configs) on %u threads\n",
-                 specs.size(), names.size(), strategies.size(),
-                 pus.size(), runner.jobs());
+    report::SweepRunner runner{unsigned(jobs)};
+    std::fprintf(stderr, "sweep: %zu runs on %u threads\n",
+                 specs.size(), runner.jobs());
     pipeline::SessionPool pool(pipeline::SessionConfig{cache_dir});
     std::vector<report::RunRecord> records = runner.run(specs, pool);
     std::fprintf(stderr, "sweep: artifact cache: %s\n",
                  pool.stats().summary().c_str());
 
-    std::printf("%-28s %8s %9s %7s %7s %8s\n", "run", "IPC", "cycles",
-                "tasks", "tpred%", "span");
+    printRunHeader(stdout);
     size_t failed = 0;
     for (const auto &r : records) {
-        if (r.ok()) {
-            std::printf("%-28s %8.3f %9llu %7llu %7.2f %8.0f\n",
-                        r.spec.id.c_str(), r.stats.ipc(),
-                        (unsigned long long)r.stats.cycles,
-                        (unsigned long long)r.stats.dynTasks,
-                        r.stats.taskMispredictPct(),
-                        r.stats.measuredWindowSpan);
-        } else {
-            ++failed;
-            std::printf("%-28s ERROR %s\n", r.spec.id.c_str(),
-                        r.error.render().c_str());
-        }
+        failed += !r.ok();
+        printRunRow(stdout, report::runToJson(r));
     }
     if (failed)
         std::fprintf(stderr, "sweep: %zu of %zu runs failed "
@@ -539,70 +550,28 @@ cmdSweep(int argc, char **argv)
 int
 cmdTrace(int argc, char **argv)
 {
-    std::string spec = argv[0];
-    tasksel::SelectionOptions sel;
-    uint64_t trace_insts = 400'000;
-    unsigned pus = 4;
-    bool ooo = true;
+    const std::string spec = argv[0];
+    client::RequestBuilder req =
+        client::RequestBuilder::trace("trace-cli", spec);
+    req.smallScale(true).insts(400'000);  // trace's defaults
     std::string out_path, prof_path;
-    unsigned top_n = 10;
+    uint64_t top_n = 10;
     bool phase_spans = false, check = false;
     Remote remote;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto arg = [&](const char *name) -> const char * {
-            if (a != name)
-                return nullptr;
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(name) +
-                                         " needs a value");
-            return argv[++i];
-        };
-        if (const char *v = arg("--pus")) {
-            pus = unsigned(atoi(v));
-        } else if (const char *v2 = arg("--strategy")) {
-            sel.strategy = report::strategyFromId(v2);
-        } else if (const char *v3 = arg("--targets")) {
-            sel.maxTargets = parseTargets(v3);
-        } else if (const char *v4 = arg("--insts")) {
-            trace_insts = uint64_t(atoll(v4));
-        } else if (const char *v5 = arg("--out")) {
-            out_path = v5;
-        } else if (const char *v6 = arg("--taskprof")) {
-            prof_path = v6;
-        } else if (const char *v7 = arg("--top")) {
-            top_n = unsigned(atoi(v7));
-        } else if (const char *v9 = arg("--connect")) {
-            remote.spec = v9;
-        } else if (a == "--in-order") {
-            ooo = false;
-        } else if (a == "--size") {
-            sel.taskSizeHeuristic = true;
-        } else if (a == "--phase-times") {
-            phase_spans = true;
-        } else if (a == "--check") {
-            check = true;
-        } else {
-            throw std::runtime_error("unknown flag " + a);
-        }
-    }
+    parseFlags(argc - 1, argv + 1,
+               {{.flag = "--out", .text = &out_path},
+                {.flag = "--taskprof", .text = &prof_path},
+                {.flag = "--top", .number = &top_n, .max = UINT32_MAX},
+                {.flag = "--connect", .text = &remote.spec},
+                {.flag = "--phase-times", .on = &phase_spans},
+                {.flag = "--check", .on = &check}},
+               &req, TRACE);
+    const report::RunSpec sp = requestSpecs(req).at(0);
     if (remote.enabled()) {
         remote.reject(check, "--check");
         remote.reject(phase_spans, "--phase-times");
-        remote.reject(spec.size() > 4 && spec.compare(spec.size() - 4,
-                                                      4, ".mir") == 0,
-                      "a .mir file");
-        client::RequestBuilder req =
-            client::RequestBuilder::trace("trace-cli", spec);
-        req.strategy(report::strategyId(sel.strategy))
-            .pusCount(pus)
-            .smallScale(true)
-            .insts(trace_insts)
-            .targets(sel.maxTargets)
-            .inOrder(!ooo)
-            .sizeHeuristic(sel.taskSizeHeuristic)
-            .includeTrace(!out_path.empty());
+        remote.reject(isMirFile(spec), "a .mir file");
+        req.includeTrace(!out_path.empty());
         client::ClientConn conn(remote.endpoint());
         client::ResponseFrame last = conn.call(req);
         if (last.type == client::ResponseFrame::Type::Error) {
@@ -611,8 +580,7 @@ cmdTrace(int argc, char **argv)
             return 1;
         }
         std::FILE *out = remote.out();
-        std::fprintf(out, "%-28s %8s %9s %7s %7s %8s\n", "run", "IPC",
-                     "cycles", "tasks", "tpred%", "span");
+        printRunHeader(out);
         printRunRow(out, last.raw.get("run"));
         if (!out_path.empty()) {
             report::writeFile(out_path,
@@ -630,10 +598,8 @@ cmdTrace(int argc, char **argv)
         // object); the taskprof file carries the per-task data.
         return 0;
     }
-    pipeline::StageOptions o = pipeline::StageOptions::fromSelection(sel);
-    o.trace.traceInsts = trace_insts;
-    o.config = arch::SimConfig::paperConfig(pus, ooo);
-    o.config.maxTargets = sel.maxTargets;
+    pipeline::StageOptions o = sp.opts;
+    const unsigned pus = o.config.numPUs;
 
     obs::PerfettoTraceWriter writer(pus, spec);
     obs::TaskProfiler prof;
@@ -643,7 +609,7 @@ cmdTrace(int argc, char **argv)
     o.sink = &tee;
     o.phaseTimes = &phases;
 
-    pipeline::Session session(loadProgram(spec));
+    pipeline::Session session(loadProgram(spec, sp.scale));
     pipeline::StageResults res = session.runAll(o);
     const tasksel::TaskPartition &partition = res.partition->partition;
     const arch::SimStats &st = res.sim->stats;
@@ -656,13 +622,14 @@ cmdTrace(int argc, char **argv)
         writer.addPhaseSpans(phases);
 
     std::printf("%s | %s tasks | %u %s PUs | %llu cycles | IPC %.3f\n",
-                spec.c_str(), tasksel::strategyName(sel.strategy),
-                pus, ooo ? "out-of-order" : "in-order",
+                spec.c_str(), tasksel::strategyName(o.sel.strategy),
+                pus, o.config.outOfOrder ? "out-of-order" : "in-order",
                 (unsigned long long)st.cycles, st.ipc());
     std::printf("%s", arch::formatBuckets(st).c_str());
     std::printf("hot static tasks (of %zu in partition):\n%s",
                 partition.size(),
-                obs::formatHotTasks(prof, partition, top_n).c_str());
+                obs::formatHotTasks(prof, partition, unsigned(top_n))
+                    .c_str());
 
     if (!out_path.empty()) {
         writer.write(out_path);
@@ -732,43 +699,24 @@ int
 cmdFuzz(int argc, char **argv)
 {
     fuzz::CampaignOptions o;
-    o.jobs = 0;                        // default: all cores
-    bool quiet = false;
-
-    for (int i = 0; i < argc; ++i) {
-        std::string a = argv[i];
-        auto arg = [&](const char *name) -> const char * {
-            if (a != name)
-                return nullptr;
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(name) +
-                                         " needs a value");
-            return argv[++i];
-        };
-        if (const char *v = arg("--count")) {
-            o.count = uint64_t(atoll(v));
-        } else if (const char *v2 = arg("--seed")) {
-            o.seedBase = uint64_t(atoll(v2));
-        } else if (const char *v3 = arg("--jobs")) {
-            o.jobs = unsigned(atoi(v3));
-        } else if (const char *v4 = arg("--size")) {
-            o.gen.sizeClass = unsigned(atoi(v4));
-        } else if (const char *v5 = arg("--max-insts")) {
-            o.maxInsts = uint64_t(atoll(v5));
-        } else if (const char *v6 = arg("--corpus-dir")) {
-            o.corpusDir = v6;
-        } else if (const char *v7 = arg("--timeout-ms")) {
-            o.budget.wallMs = uint32_t(atoll(v7));
-        } else if (const char *v8 = arg("--max-fuel")) {
-            o.budget.maxFuel = uint64_t(atoll(v8));
-        } else if (a == "--no-shrink") {
-            o.shrinkFailures = false;
-        } else if (a == "--quiet") {
-            quiet = true;
-        } else {
-            throw std::runtime_error("unknown flag " + a);
-        }
-    }
+    uint64_t jobs = 0;  // default: all cores
+    uint64_t wall_ms = 0;
+    bool no_shrink = false, quiet = false;
+    parseFlags(argc, argv,
+               {{.flag = "--count", .number = &o.count},
+                {.flag = "--seed", .number = &o.seedBase},
+                {.flag = "--jobs", .number = &jobs,
+                 .max = client::MAX_JOBS},
+                {.flag = "--max-insts", .number = &o.maxInsts},
+                {.flag = "--corpus-dir", .text = &o.corpusDir},
+                {.flag = "--timeout-ms", .number = &wall_ms,
+                 .max = UINT32_MAX},
+                {.flag = "--max-fuel", .number = &o.budget.maxFuel},
+                {.flag = "--no-shrink", .on = &no_shrink},
+                {.flag = "--quiet", .on = &quiet}});
+    o.jobs = unsigned(jobs);
+    o.budget.wallMs = uint32_t(wall_ms);
+    o.shrinkFailures = !no_shrink;
 
     report::SweepRunner pool(o.jobs);
     std::fprintf(stderr,
@@ -841,35 +789,22 @@ int
 cmdStats(int argc, char **argv)
 {
     Remote remote;
-    bool raw_json = false, prom = false;
-
-    for (int i = 0; i < argc; ++i) {
-        std::string a = argv[i];
-        auto arg = [&](const char *name) -> const char * {
-            if (a != name)
-                return nullptr;
-            if (i + 1 >= argc)
-                throw std::runtime_error(std::string(name) +
-                                         " needs a value");
-            return argv[++i];
-        };
-        // Legacy spellings desugar onto the endpoint grammar.
-        if (const char *v = arg("--unix")) {
-            remote.spec = std::string("unix:") + v;
-        } else if (const char *v2 = arg("--tcp")) {
-            remote.spec = std::string("tcp:") + v2;
-        } else if (const char *v3 = arg("--connect")) {
-            remote.spec = v3;
-        } else if (a == "--stdio") {
-            remote.spec = "stdio";
-        } else if (a == "--json") {
-            raw_json = true;
-        } else if (a == "--prom") {
-            prom = true;
-        } else {
-            throw std::runtime_error("unknown flag " + a);
-        }
-    }
+    std::string unix_path, tcp_port;
+    bool stdio = false, raw_json = false, prom = false;
+    parseFlags(argc, argv,
+               {{.flag = "--connect", .text = &remote.spec},
+                {.flag = "--unix", .text = &unix_path},
+                {.flag = "--tcp", .text = &tcp_port},
+                {.flag = "--stdio", .on = &stdio},
+                {.flag = "--json", .on = &raw_json},
+                {.flag = "--prom", .on = &prom}});
+    // Legacy spellings desugar onto the endpoint grammar.
+    if (!unix_path.empty())
+        remote.spec = "unix:" + unix_path;
+    else if (!tcp_port.empty())
+        remote.spec = "tcp:" + tcp_port;
+    else if (stdio)
+        remote.spec = "stdio";
     if (!remote.enabled())
         throw std::runtime_error(
             "stats needs one of --connect ENDPOINT, --unix PATH, "
@@ -904,15 +839,8 @@ cmdCancel(int argc, char **argv)
 {
     std::string target = argv[0];
     Remote remote;
-
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--connect" && i + 1 < argc) {
-            remote.spec = argv[++i];
-        } else {
-            throw std::runtime_error("unknown flag " + a);
-        }
-    }
+    parseFlags(argc - 1, argv + 1,
+               {{.flag = "--connect", .text = &remote.spec}});
     if (!remote.enabled())
         throw std::runtime_error("cancel needs --connect ENDPOINT");
 
@@ -978,7 +906,7 @@ main(int argc, char **argv)
                  "              [--max-cycles N]\n"
                  "              exit: 0 clean, 1 all failed, 3 partial\n"
                  "       msctool fuzz   [--count N] [--seed S]\n"
-                 "              [--jobs N] [--size 0..3] [--max-insts N]\n"
+                 "              [--jobs N] [--max-insts N]\n"
                  "              [--corpus-dir DIR] [--no-shrink]\n"
                  "              [--timeout-ms N] [--max-fuel N]\n"
                  "       msctool trace  <workload|file.mir>\n"
@@ -995,6 +923,7 @@ main(int argc, char **argv)
                  "run/sweep/trace/stats/cancel accept --connect\n"
                  "(unix:/path | tcp:host:port | tcp:port | stdio) to\n"
                  "execute in a live mscd or mscd --router instead of\n"
-                 "in-process.\n");
+                 "in-process; either way the daemon protocol's\n"
+                 "parser checks their values (docs/DAEMON.md).\n");
     return 2;
 }

@@ -5,17 +5,20 @@
  *
  *   ./partition_explorer [workload] [bb|cf|dd] [N]
  *
+ * N, the targets tracked per task, is in [1, 64] as in a request.
+ *
  * Prints every task with its blocks, exposed targets, create mask and
  * safe forward points — the compiler's entire hand-off to the
  * Multiscalar hardware.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "client/cli.h"
 #include "ir/printer.h"
 #include "pipeline/session.h"
+#include "report/record.h"
 #include "workloads/workload.h"
 
 using namespace msc;
@@ -46,15 +49,14 @@ maskToString(cfg::RegSet m)
 
 int
 main(int argc, char **argv)
-{
+try {
     std::string name = argc > 1 ? argv[1] : "compress";
-    std::string strat = argc > 2 ? argv[2] : "dd";
-    unsigned n = argc > 3 ? unsigned(atoi(argv[3])) : 4;
-
     tasksel::SelectionOptions sel;
-    sel.strategy = strat == "bb" ? tasksel::Strategy::BasicBlock
-                 : strat == "cf" ? tasksel::Strategy::ControlFlow
-                                 : tasksel::Strategy::DataDependence;
+    sel.strategy = report::strategyFromId(argc > 2 ? argv[2] : "dd");
+    unsigned n = argc > 3 ? unsigned(client::parseUInt("N", argv[3], 64))
+                          : 4;
+    if (n == 0)
+        throw std::runtime_error("N must be in [1, 64]");
     sel.maxTargets = n;
     pipeline::StageOptions o = pipeline::StageOptions::fromSelection(sel);
 
@@ -113,4 +115,7 @@ main(int argc, char **argv)
         std::printf("\n");
     }
     return 0;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "partition_explorer: %s\n", e.what());
+    return 1;
 }

@@ -2,6 +2,8 @@
 
 #include <unistd.h>
 
+#include "report/record.h"
+
 namespace msc {
 namespace client {
 
@@ -52,20 +54,12 @@ optBool(const Json &obj, const char *key, bool dflt = false)
     return v->asBool();
 }
 
+template <typename T>
 Json
-stringArray(const std::vector<std::string> &items)
+jsonArray(const std::vector<T> &items)
 {
     Json a = Json::array();
-    for (const auto &s : items)
-        a.push(s);
-    return a;
-}
-
-Json
-uintArray(const std::vector<unsigned> &items)
-{
-    Json a = Json::array();
-    for (unsigned v : items)
+    for (const T &v : items)
         a.push(v);
     return a;
 }
@@ -85,9 +79,8 @@ RequestBuilder::RequestBuilder(std::string id, const char *kind)
 RequestBuilder
 RequestBuilder::run(std::string id, std::string workload)
 {
-    RequestBuilder b(std::move(id), "run");
-    b._doc["workload"] = std::move(workload);
-    return b;
+    return RequestBuilder(std::move(id), "run")
+        .set("workload", std::move(workload));
 }
 
 RequestBuilder
@@ -99,17 +92,15 @@ RequestBuilder::sweep(std::string id)
 RequestBuilder
 RequestBuilder::trace(std::string id, std::string workload)
 {
-    RequestBuilder b(std::move(id), "trace");
-    b._doc["workload"] = std::move(workload);
-    return b;
+    return RequestBuilder(std::move(id), "trace")
+        .set("workload", std::move(workload));
 }
 
 RequestBuilder
 RequestBuilder::cancel(std::string id, std::string target)
 {
-    RequestBuilder b(std::move(id), "cancel");
-    b._doc["target"] = std::move(target);
-    return b;
+    return RequestBuilder(std::move(id), "cancel")
+        .set("target", std::move(target));
 }
 
 RequestBuilder
@@ -119,73 +110,28 @@ RequestBuilder::stats(std::string id)
 }
 
 RequestBuilder &
+RequestBuilder::set(const std::string &key, Json value)
+{
+    _doc[key] = std::move(value);
+    return *this;
+}
+
+RequestBuilder &
 RequestBuilder::workloads(std::vector<std::string> names)
 {
-    _doc["workloads"] = stringArray(names);
-    return *this;
+    return set("workloads", jsonArray(names));
 }
 
 RequestBuilder &
 RequestBuilder::strategies(std::vector<std::string> ids)
 {
-    _doc["strategies"] = stringArray(ids);
-    return *this;
+    return set("strategies", jsonArray(ids));
 }
 
 RequestBuilder &
 RequestBuilder::pus(std::vector<unsigned> counts)
 {
-    _doc["pus"] = uintArray(counts);
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::strategy(const std::string &id)
-{
-    _doc["strategy"] = id;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::pusCount(unsigned n)
-{
-    _doc["pus"] = n;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::smallScale(bool small)
-{
-    _doc["scale"] = small ? "small" : "full";
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::insts(uint64_t n)
-{
-    _doc["insts"] = n;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::targets(unsigned n)
-{
-    _doc["targets"] = n;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::inOrder(bool in_order)
-{
-    _doc["in_order"] = in_order;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::sizeHeuristic(bool on)
-{
-    _doc["size"] = on;
-    return *this;
+    return set("pus", jsonArray(counts));
 }
 
 RequestBuilder &
@@ -200,8 +146,7 @@ RequestBuilder::budget(const runtime::ExecBudget &b)
         obj["max_cycles"] = b.maxSimCycles;
     if (b.maxHeapBytes)
         obj["max_heap_bytes"] = b.maxHeapBytes;
-    _doc["budget"] = std::move(obj);
-    return *this;
+    return set("budget", std::move(obj));
 }
 
 RequestBuilder &
@@ -212,22 +157,7 @@ RequestBuilder::budgetExact(const runtime::ExecBudget &b)
     obj["max_fuel"] = b.maxFuel;
     obj["max_cycles"] = b.maxSimCycles;
     obj["max_heap_bytes"] = b.maxHeapBytes;
-    _doc["budget"] = std::move(obj);
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::includeTrace(bool on)
-{
-    _doc["include_trace"] = on;
-    return *this;
-}
-
-RequestBuilder &
-RequestBuilder::format(const std::string &fmt)
-{
-    _doc["format"] = fmt;
-    return *this;
+    return set("budget", std::move(obj));
 }
 
 Json
@@ -286,13 +216,7 @@ parseResponseFrame(const std::string &payload)
         const Json *err = doc.find("error");
         if (!err || err->kind() != Json::Kind::Object)
             badFrame("error frame is missing its \"error\" object");
-        runtime::errorKindFromId(optString(*err, "kind"),
-                                 f.error.kind);
-        f.error.stage = optString(*err, "stage");
-        f.error.workload = optString(*err, "workload");
-        f.error.detail = optString(*err, "detail");
-        f.error.limit = optUInt(*err, "limit");
-        f.error.used = optUInt(*err, "used");
+        f.error = report::errorFromJson(*err);
     } else {
         badFrame("unknown response frame type \"" +
                  type.substr(0, 64) + "\"");

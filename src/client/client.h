@@ -60,22 +60,38 @@ class RequestBuilder
     static RequestBuilder stats(std::string id);
     /// @}
 
+    /** Sets field @p key to @p value as given, unchecked: the peer's
+     *  serve::parseRequest validates it. Every setter below is this
+     *  with a typed value; msctool's flag table forwards the user's
+     *  text through it, so the CLI and the wire reject a bad value
+     *  with the same message. */
+    RequestBuilder &set(const std::string &key, report::Json value);
+
     /// @name Grid axes (sweep: lists; run/trace: scalars).
     /// @{
     RequestBuilder &workloads(std::vector<std::string> names);
     RequestBuilder &strategies(std::vector<std::string> ids);
     RequestBuilder &pus(std::vector<unsigned> counts);
-    RequestBuilder &strategy(const std::string &id);
-    RequestBuilder &pusCount(unsigned n);
+    RequestBuilder &strategy(const std::string &id)
+    {
+        return set("strategy", id);
+    }
+    RequestBuilder &pusCount(unsigned n) { return set("pus", n); }
     /// @}
 
     /// @name Shared knobs.
     /// @{
-    RequestBuilder &smallScale(bool small);
-    RequestBuilder &insts(uint64_t n);
-    RequestBuilder &targets(unsigned n);
-    RequestBuilder &inOrder(bool in_order);
-    RequestBuilder &sizeHeuristic(bool on);
+    RequestBuilder &smallScale(bool small)
+    {
+        return set("scale", small ? "small" : "full");
+    }
+    RequestBuilder &insts(uint64_t n) { return set("insts", n); }
+    RequestBuilder &targets(unsigned n) { return set("targets", n); }
+    RequestBuilder &inOrder(bool in_order)
+    {
+        return set("in_order", in_order);
+    }
+    RequestBuilder &sizeHeuristic(bool on) { return set("size", on); }
 
     /** Emits a `budget` object with every *nonzero* field of @p b
      *  (zero = unlimited = the protocol default, so it is omitted). */
@@ -89,10 +105,16 @@ class RequestBuilder
     /// @}
 
     /** Trace: embed the full Perfetto document in the result frame. */
-    RequestBuilder &includeTrace(bool on);
+    RequestBuilder &includeTrace(bool on)
+    {
+        return set("include_trace", on);
+    }
 
     /** Stats: "json" (default) or "prometheus". */
-    RequestBuilder &format(const std::string &fmt);
+    RequestBuilder &format(const std::string &fmt)
+    {
+        return set("format", fmt);
+    }
 
     const std::string &id() const { return _id; }
 

@@ -33,8 +33,9 @@ struct CampaignOptions
     /** Worker threads; 0 picks the hardware concurrency. */
     unsigned jobs = 1;
 
-    /** Program-shape knobs, shared by every seed (sizeClass cycles
-     *  seed-dependently on top of this base). */
+    /** Program-shape knobs, shared by every seed, except sizeClass:
+     *  each seed overwrites it with seed % 4, so one campaign covers
+     *  tiny through large shapes and the value set here is unused. */
     GenOptions gen;
 
     /** Per-oracle dynamic instruction budget. */

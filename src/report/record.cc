@@ -20,7 +20,7 @@ strategyId(tasksel::Strategy s)
 }
 
 tasksel::Strategy
-strategyFromId(const std::string &id)
+strategyFromId(const std::string &id, const char *stage)
 {
     if (id == "bb")
         return tasksel::Strategy::BasicBlock;
@@ -28,8 +28,8 @@ strategyFromId(const std::string &id)
         return tasksel::Strategy::ControlFlow;
     if (id == "dd")
         return tasksel::Strategy::DataDependence;
-    throw runtime::StageError(runtime::ErrorKind::InvalidInput, "cli",
-                              "unknown strategy \"" + id +
+    throw runtime::StageError(runtime::ErrorKind::InvalidInput, stage,
+                              "unknown strategy \"" + id.substr(0, 64) +
                                   "\" (expected bb|cf|dd)");
 }
 
@@ -114,6 +114,29 @@ errorToJson(const runtime::StageErrorInfo &e)
     if (e.used)
         err["used"] = e.used;
     return err;
+}
+
+runtime::StageErrorInfo
+errorFromJson(const Json &e)
+{
+    auto text = [&](const char *key) {
+        const Json *v = e.find(key);
+        return v && v->kind() == Json::Kind::String ? v->asString()
+                                                    : std::string();
+    };
+    auto count = [&](const char *key) {
+        const Json *v = e.find(key);
+        return v && v->kind() == Json::Kind::Int ? v->asUInt()
+                                                 : uint64_t(0);
+    };
+    runtime::StageErrorInfo info;
+    runtime::errorKindFromId(text("kind"), info.kind);
+    info.stage = text("stage");
+    info.workload = text("workload");
+    info.detail = text("detail");
+    info.limit = count("limit");
+    info.used = count("used");
+    return info;
 }
 
 Json

@@ -117,6 +117,13 @@ Json runToJson(const RunRecord &r);
  *  across runs (runtime/error.h). */
 Json errorToJson(const runtime::StageErrorInfo &e);
 
+/** Decodes an `error` object back into a StageErrorInfo — the one
+ *  reader of errorToJson's output, for error frames and error rows
+ *  alike. Lenient, as a protocol client must be: a missing or
+ *  mistyped member, or an unknown kind id, leaves that field at its
+ *  default. */
+runtime::StageErrorInfo errorFromJson(const Json &e);
+
 /** Serializes a whole sweep to the versioned top-level document.
  *  With any error records present, the document carries
  *  `partial: true` and those runs have `status: "error"`. */
@@ -171,8 +178,10 @@ void writeFile(const std::string &path, const std::string &content);
 const char *strategyId(tasksel::Strategy s);
 
 /** Parses "bb" / "cf" / "dd"; throws runtime::StageError
- *  (ErrorKind::InvalidInput) on anything else. */
-tasksel::Strategy strategyFromId(const std::string &id);
+ *  (ErrorKind::InvalidInput, stage @p stage) on anything else, echoing
+ *  at most 64 bytes of @p id. */
+tasksel::Strategy strategyFromId(const std::string &id,
+                                 const char *stage = "cli");
 
 } // namespace report
 } // namespace msc

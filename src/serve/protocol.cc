@@ -9,6 +9,13 @@ namespace serve {
 
 namespace {
 
+/** Accepted range of "pus" (every value of a sweep's list). */
+constexpr uint64_t MAX_PUS = 512;
+
+/** Accepted range of "targets", the successors tracked per task. */
+constexpr uint64_t MIN_TARGETS = 1;
+constexpr uint64_t MAX_TARGETS = 64;
+
 [[noreturn]] void
 bad(const std::string &detail)
 {
@@ -57,6 +64,23 @@ uintField(const report::Json &obj, const char *key, uint64_t dflt)
     return v->asUInt();
 }
 
+/** @p v (@p dflt when absent), checked to be an integer in
+ *  [@p lo, @p hi] as the 64-bit number it was sent as, before any
+ *  narrowing cast. A wrong type gets the same message as a wrong
+ *  value. */
+uint64_t
+rangedValue(const report::Json *v, const char *what, uint64_t dflt,
+            uint64_t lo, uint64_t hi)
+{
+    if (!v)
+        return dflt;
+    if (v->kind() != report::Json::Kind::Int || v->asDouble() < 0 ||
+        v->asUInt() < lo || v->asUInt() > hi)
+        bad(std::string(what) + " must be in [" + std::to_string(lo) +
+            ", " + std::to_string(hi) + "]");
+    return v->asUInt();
+}
+
 std::vector<std::string>
 stringListField(const report::Json &obj, const char *key)
 {
@@ -100,7 +124,9 @@ budgetField(const report::Json &obj, const runtime::ExecBudget &dflt)
         return b;
     if (v->kind() != report::Json::Kind::Object)
         bad("field \"budget\" must be an object");
-    b.wallMs = uint32_t(uintField(*v, "timeout_ms", b.wallMs));
+    b.wallMs = uint32_t(rangedValue(v->find("timeout_ms"),
+                                    "\"budget.timeout_ms\"", b.wallMs,
+                                    0, UINT32_MAX));
     b.maxFuel = uintField(*v, "max_fuel", b.maxFuel);
     b.maxSimCycles = uintField(*v, "max_cycles", b.maxSimCycles);
     b.maxHeapBytes = uintField(*v, "max_heap_bytes", b.maxHeapBytes);
@@ -181,7 +207,7 @@ parseImpl(const std::string &payload, const RequestDefaults &defaults)
     // drivers.
     std::vector<std::string> names;
     std::vector<std::string> strategies;
-    std::vector<unsigned> pus;
+    std::vector<uint64_t> pus;
     if (sweep) {
         names = stringListField(doc, "workloads");
         if (names.empty())
@@ -196,35 +222,33 @@ parseImpl(const std::string &payload, const RequestDefaults &defaults)
         } else {
             if (pv->kind() != report::Json::Kind::Array)
                 bad("field \"pus\" must be an array of integers");
-            for (size_t i = 0; i < pv->size(); ++i) {
-                if (pv->at(i).kind() != report::Json::Kind::Int)
-                    bad("field \"pus\" must be an array of integers");
-                pus.push_back(unsigned(pv->at(i).asUInt()));
-            }
+            for (size_t i = 0; i < pv->size(); ++i)
+                pus.push_back(rangedValue(&pv->at(i), "\"pus\" values",
+                                          0, 1, MAX_PUS));
         }
     } else {
         names.push_back(stringField(doc, "workload"));
         const report::Json *sv = doc.find("strategy");
         strategies.push_back(
             sv ? stringField(doc, "strategy") : std::string("dd"));
-        pus.push_back(unsigned(uintField(doc, "pus", 4)));
+        pus.push_back(rangedValue(doc.find("pus"), "\"pus\" values", 4,
+                                  1, MAX_PUS));
     }
 
-    for (unsigned p : pus)
-        if (p < 1 || p > 512)
-            bad("\"pus\" values must be in [1, 512]");
+    std::vector<tasksel::Strategy> strats;
+    for (const auto &s : strategies)
+        strats.push_back(report::strategyFromId(s, "protocol"));
 
     workloads::Scale scale = scaleField(doc);
     uint64_t insts = uintField(doc, "insts", 250'000);
-    const uint64_t targets_field = uintField(doc, "targets", 4);
-    checkTargets(targets_field);
-    const unsigned targets = unsigned(targets_field);
+    const uint64_t targets = rangedValue(doc.find("targets"), "\"targets\"",
+                                         4, MIN_TARGETS, MAX_TARGETS);
     bool in_order = boolField(doc, "in_order", false);
     bool size_heur = boolField(doc, "size", false);
     checkCoreField(doc);
     runtime::ExecBudget budget = budgetField(doc, defaults.budget);
 
-    size_t cells = names.size() * strategies.size() * pus.size();
+    size_t cells = names.size() * strats.size() * pus.size();
     if (cells == 0)
         bad("request resolves to an empty grid");
     if (cells > MAX_SWEEP_CELLS)
@@ -233,11 +257,11 @@ parseImpl(const std::string &payload, const RequestDefaults &defaults)
             std::to_string(MAX_SWEEP_CELLS));
 
     for (const auto &n : names)
-        for (const auto &s : strategies)
-            for (unsigned p : pus) {
+        for (tasksel::Strategy s : strats)
+            for (uint64_t p : pus) {
                 report::RunSpec sp = report::makeSpec(
-                    n, report::strategyFromId(s), p, !in_order, scale,
-                    insts, size_heur, targets);
+                    n, s, unsigned(p), !in_order, scale, insts,
+                    size_heur, unsigned(targets));
                 sp.opts.budget = budget;
                 req.specs.push_back(std::move(sp));
             }
@@ -245,14 +269,6 @@ parseImpl(const std::string &payload, const RequestDefaults &defaults)
 }
 
 } // anonymous namespace
-
-void
-checkTargets(uint64_t targets)
-{
-    if (targets < MIN_TARGETS || targets > MAX_TARGETS)
-        bad("\"targets\" must be in [" + std::to_string(MIN_TARGETS) +
-            ", " + std::to_string(MAX_TARGETS) + "]");
-}
 
 const char *
 verbName(RequestKind k)

@@ -75,15 +75,6 @@ enum class StatsFormat : uint8_t
 /** Upper bound on cells in one sweep request (DoS containment). */
 constexpr size_t MAX_SWEEP_CELLS = 4096;
 
-/** Accepted range of "targets", the successors tracked per task (also
- *  msctool's --targets). */
-constexpr unsigned MIN_TARGETS = 1;
-constexpr unsigned MAX_TARGETS = 64;
-
-/** Throws the invalid-input error a request gets for a "targets"
- *  value outside [MIN_TARGETS, MAX_TARGETS]. */
-void checkTargets(uint64_t targets);
-
 /** A validated, fully-resolved request. */
 struct Request
 {

@@ -3,12 +3,14 @@
  * Unit tests for the src/client library (docs/API.md): the endpoint
  * grammar, the typed RequestBuilder payloads (exact wire bytes), the
  * ResponseFrame decoder, and the ClientConn frame pump over an
- * in-memory transport. Everything here runs with no sockets; the
+ * in-memory transport, and the checked CLI number parser. Everything
+ * here runs with no sockets; the
  * live-daemon paths are covered by test_router and daemon_smoke.
  */
 
 #include <gtest/gtest.h>
 
+#include "client/cli.h"
 #include "client/client.h"
 #include "runtime/error.h"
 #include "serve/protocol.h"
@@ -124,6 +126,21 @@ TEST(RequestBuilder, SweepPayloadBytes)
               "\"strategies\":[\"bb\",\"cf\"],\"pus\":[2]}");
 }
 
+TEST(RequestBuilder, SetForwardsValuesForThePeerToCheck)
+{
+    RequestBuilder b = RequestBuilder::run("r1", "compress");
+    b.set("pus", report::Json("abc"));
+    EXPECT_EQ(b.payload(),
+              "{\"id\":\"r1\",\"kind\":\"run\","
+              "\"workload\":\"compress\",\"pus\":\"abc\"}");
+    try {
+        serve::parseRequest(b.payload(), {});
+        FAIL() << "the protocol accepted pus \"abc\"";
+    } catch (const StageError &e) {
+        EXPECT_EQ(e.info().stage, "protocol");
+    }
+}
+
 TEST(RequestBuilder, CancelAndStatsPayloads)
 {
     EXPECT_EQ(RequestBuilder::cancel("c1", "s9").payload(),
@@ -236,6 +253,22 @@ TEST(ResponseFrame, DecodesErrorIncludingBusy)
     EXPECT_TRUE(f.terminal());
 }
 
+TEST(ResponseFrame, ErrorFrameRendersLikeTheLocalError)
+{
+    runtime::StageErrorInfo info;
+    info.kind = ErrorKind::BudgetFuel;
+    info.stage = "profile";
+    info.workload = "fuelbomb";
+    info.detail = "fuel exhausted";
+    info.limit = 200000;
+    info.used = 200704;
+    ResponseFrame f = client::parseResponseFrame(
+        serve::errorFrame("r", info).dump());
+    EXPECT_EQ(f.error.render(), info.render());
+    EXPECT_NE(f.error.render().find("[used 200704 of 200000]"),
+              std::string::npos);
+}
+
 TEST(ResponseFrame, RejectsMalformedFrames)
 {
     const char *bad[] = {
@@ -254,6 +287,35 @@ TEST(ResponseFrame, RejectsMalformedFrames)
             EXPECT_EQ(e.info().stage, "client");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// parseUInt: every numeric CLI flag's one parser.
+
+TEST(ClientCli, ParseUIntRejectsWhatAtoiAccepted)
+{
+    // atoi read these as 0, -1 (so UINT_MAX as unsigned), 4, 0, 4,
+    // 4, and a wrapped or saturated 64-bit value.
+    for (const char *text : {"abc", "-1", "4x", "", " 4", "+4", "0x10",
+                             "18446744073709551616"}) {
+        try {
+            client::parseUInt("--jobs", text, UINT64_MAX);
+            ADD_FAILURE() << "accepted \"" << text << "\"";
+        } catch (const StageError &e) {
+            EXPECT_EQ(e.info().kind, ErrorKind::InvalidInput);
+            EXPECT_EQ(e.info().stage, "cli");
+            EXPECT_NE(std::string(e.what()).find("--jobs must be an "
+                                                 "integer in [0, "),
+                      std::string::npos) << e.what();
+        }
+    }
+    EXPECT_THROW(client::parseUInt("--jobs", "257", client::MAX_JOBS),
+                 StageError);
+    EXPECT_EQ(client::parseUInt("--jobs", "256", client::MAX_JOBS), 256u);
+    EXPECT_EQ(client::parseUInt("--jobs", "0", client::MAX_JOBS), 0u);
+    EXPECT_EQ(client::parseUInt("--max-fuel", "18446744073709551615",
+                                UINT64_MAX),
+              UINT64_MAX);
 }
 
 TEST(ErrorKindIds, RoundTripEveryKindIncludingBusy)

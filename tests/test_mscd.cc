@@ -260,36 +260,77 @@ TEST(MscdProtocol, RejectsMalformedRequests)
 
 TEST(MscdProtocol, TargetsRangeIsCheckTargets)
 {
-    // One definition: a request's "targets" and msctool --targets
-    // both go through checkTargets, so they reject the same values
-    // with the same message.
+    // One definition: the request parser owns the "targets" range,
+    // and msctool's --targets reaches it through the same parser, so
+    // both reject the same values with the same message.
     RequestDefaults d;
     auto run = [](const std::string &targets) {
         return runPayload("x", "compress", ",\"targets\":" + targets);
     };
-    for (uint64_t t : {uint64_t(0), uint64_t(MAX_TARGETS) + 1,
+    for (uint64_t t : {uint64_t(0), uint64_t(65),
                        (uint64_t(1) << 32) + 4}) {
-        std::string want;
-        try {
-            checkTargets(t);
-            ADD_FAILURE() << "checkTargets accepted " << t;
-        } catch (const runtime::StageError &e) {
-            want = e.what();
-        }
-        EXPECT_NE(want.find("\"targets\" must be in [1, 64]"),
-                  std::string::npos) << want;
         try {
             parseRequest(run(std::to_string(t)), d);
             ADD_FAILURE() << "request accepted targets " << t;
         } catch (const runtime::StageError &e) {
-            EXPECT_EQ(std::string(e.what()), want);
+            EXPECT_EQ(e.info().stage, "protocol");
+            EXPECT_NE(std::string(e.what()).find(
+                          "\"targets\" must be in [1, 64]"),
+                      std::string::npos) << e.what();
         }
     }
-    for (unsigned t : {MIN_TARGETS, MAX_TARGETS}) {
-        EXPECT_NO_THROW(checkTargets(t));
+    for (unsigned t : {1u, 64u})
         EXPECT_EQ(parseRequest(run(std::to_string(t)), d)
                       .specs.at(0).opts.sel.maxTargets, t);
-    }
+}
+
+TEST(MscdProtocol, ChecksValuesBeforeNarrowing)
+{
+    RequestDefaults d;
+    auto rejectsWith = [&](const std::string &payload,
+                           const std::string &message) {
+        try {
+            parseRequest(payload, d);
+            ADD_FAILURE() << "accepted: " << payload;
+        } catch (const runtime::StageError &e) {
+            EXPECT_EQ(e.info().kind, ErrorKind::InvalidInput);
+            EXPECT_EQ(e.info().stage, "protocol") << e.what();
+            EXPECT_NE(std::string(e.what()).find(message),
+                      std::string::npos) << e.what();
+        }
+    };
+    const std::string run =
+        "{\"id\":\"r\",\"kind\":\"run\",\"workload\":\"compress\"";
+    const std::string sweep =
+        "{\"id\":\"s\",\"kind\":\"sweep\","
+        "\"workloads\":[\"compress\"]";
+    const std::string pus_range = "\"pus\" values must be in [1, 512]";
+
+    // Narrowed to 32 bits these were 4 PUs, 2 PUs and a 1 ms deadline.
+    rejectsWith(run + ",\"pus\":4294967300}", pus_range);
+    rejectsWith(sweep + ",\"pus\":[4,4294967298]}", pus_range);
+    rejectsWith(run + ",\"budget\":{\"timeout_ms\":4294967297}}",
+                "\"budget.timeout_ms\" must be in [0, 4294967295]");
+
+    // A ranged field names its range for a wrong type too.
+    rejectsWith(sweep + ",\"pus\":[-1]}", pus_range);
+    rejectsWith(run + ",\"pus\":\"4\"}", pus_range);
+    rejectsWith(run + ",\"targets\":-1}", "\"targets\" must be in [1, 64]");
+
+    // An unknown strategy is the protocol's error, not a CLI one, and
+    // its echo of the peer's text is bounded.
+    const std::string unknown = "unknown strategy \"";
+    rejectsWith(run + ",\"strategy\":\"xx\"}", unknown + "xx\"");
+    rejectsWith(sweep + ",\"strategies\":[\"bb\",\"" +
+                    std::string(300, 'z') + "\"]}",
+                unknown + std::string(64, 'z') + "\"");
+
+    // The largest values that fit are still accepted as sent.
+    Request top = parseRequest(
+        run + ",\"pus\":512,\"budget\":{\"timeout_ms\":4294967295}}",
+        d);
+    EXPECT_EQ(top.specs.at(0).opts.config.numPUs, 512u);
+    EXPECT_EQ(top.specs.at(0).opts.budget.wallMs, UINT32_MAX);
 }
 
 TEST(MscdProtocol, ExtractsIdBestEffort)

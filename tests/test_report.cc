@@ -354,6 +354,45 @@ TEST(SweepRunner, IsolatesPerCellFailures)
     }
 }
 
+TEST(Schema, ErrorObjectDecodesToTheSameRendering)
+{
+    // errorFromJson is the one reader of errorToJson: a row printed
+    // from a run object, local or a daemon's, shows the record's own
+    // rendering, budget suffix included.
+    for (runtime::ErrorKind kind :
+         {runtime::ErrorKind::BudgetFuel, runtime::ErrorKind::InvalidInput,
+          runtime::ErrorKind::Deadline}) {
+        runtime::StageErrorInfo e;
+        e.kind = kind;
+        e.stage = "profile";
+        e.workload = "fuelbomb";
+        e.detail = "stopped";
+        if (e.budgetExhausted()) {
+            e.limit = 200000;
+            e.used = 200704;
+        }
+        runtime::StageErrorInfo back =
+            report::errorFromJson(report::errorToJson(e));
+        EXPECT_EQ(back.kind, e.kind);
+        EXPECT_EQ(back.stage, e.stage);
+        EXPECT_EQ(back.workload, e.workload);
+        EXPECT_EQ(back.detail, e.detail);
+        EXPECT_EQ(back.limit, e.limit);
+        EXPECT_EQ(back.used, e.used);
+        EXPECT_EQ(back.render(), e.render());
+    }
+
+    // Lenient: an unknown kind or a mistyped member decodes to the
+    // field's default instead of throwing.
+    runtime::StageErrorInfo odd = report::errorFromJson(
+        Json::parse("{\"kind\":\"from-a-newer-peer\",\"stage\":7,"
+                    "\"detail\":\"d\",\"used\":\"x\"}"));
+    EXPECT_EQ(odd.kind, runtime::ErrorKind::None);
+    EXPECT_EQ(odd.stage, "");
+    EXPECT_EQ(odd.detail, "d");
+    EXPECT_EQ(odd.used, 0u);
+}
+
 TEST(SweepRunner, EmptySweep)
 {
     EXPECT_TRUE(report::SweepRunner(4).run({}).empty());
