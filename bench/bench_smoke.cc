@@ -4,11 +4,13 @@
  * `bench_smoke` ctest target so the structured-results pipeline
  * cannot silently rot.
  *
- * Runs a tiny workload × strategy grid twice — serially and with the
- * requested --jobs — then asserts that
+ * Runs a tiny workload × strategy grid three times — serially and
+ * with the requested --jobs under the --core simulator core, and
+ * serially under the other core — then asserts that
  *
- *   1. the two JSON documents are byte-identical (the determinism
- *      contract of report/sweep.h),
+ *   1. the three JSON documents are byte-identical (the determinism
+ *      contract of report/sweep.h and the cycle/event core contract
+ *      of docs/PERFORMANCE.md),
  *   2. the emitted file parses back and carries the documented
  *      schema envelope (schema / schema_version / runs),
  *   3. every run has the top-level metric groups docs/METRICS.md
@@ -133,14 +135,23 @@ main(int argc, char **argv)
         opts.jsonPath = "bench_smoke.json";
 
     std::vector<report::RunSpec> specs = tinyGrid();
-    // Like Sweep::run: --core selects the simulator core everywhere
-    // (outputs are byte-identical either way, so every check below is
-    // also a core-equivalence check when run once per mode).
-    for (auto &s : specs)
-        s.opts.config.coreMode = opts.core;
-
-    std::string serial =
-        report::sweepToJson(report::SweepRunner(1).run(specs)).dump(2);
+    // Like Sweep::run: --core selects the simulator core everywhere;
+    // the other core runs the grid once more for the comparison.
+    auto serialUnder = [&](arch::CoreMode core) {
+        for (auto &s : specs)
+            s.opts.config.coreMode = core;
+        return report::sweepToJson(report::SweepRunner(1).run(specs))
+            .dump(2);
+    };
+    const arch::CoreMode other = opts.core == arch::CoreMode::Event
+        ? arch::CoreMode::Cycle
+        : arch::CoreMode::Event;
+    const std::string otherCore = serialUnder(other);
+    // Leaves every spec on --core for the parallel run below.
+    const std::string serial = serialUnder(opts.core);
+    if (otherCore != serial)
+        return failed("sweep output differs between the cycle and "
+                      "event cores");
     auto records = report::SweepRunner(opts.jobs).run(specs);
     std::string parallel = report::sweepToJson(records).dump(2);
 

@@ -122,7 +122,8 @@ struct SimConfig
     /**
      * Core discipline. Event (the default) and Cycle are
      * byte-identical; Cycle is the slow reference escape hatch
-     * (`--core=cycle` on msctool/bench binaries).
+     * (`--core cycle` on the bench binaries; msctool and mscd always
+     * run Event).
      */
     CoreMode coreMode = CoreMode::Event;
 

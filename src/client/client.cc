@@ -138,21 +138,6 @@ RequestBuilder &
 RequestBuilder::budget(const runtime::ExecBudget &b)
 {
     Json obj = Json::object();
-    if (b.wallMs)
-        obj["timeout_ms"] = uint64_t(b.wallMs);
-    if (b.maxFuel)
-        obj["max_fuel"] = b.maxFuel;
-    if (b.maxSimCycles)
-        obj["max_cycles"] = b.maxSimCycles;
-    if (b.maxHeapBytes)
-        obj["max_heap_bytes"] = b.maxHeapBytes;
-    return set("budget", std::move(obj));
-}
-
-RequestBuilder &
-RequestBuilder::budgetExact(const runtime::ExecBudget &b)
-{
-    Json obj = Json::object();
     obj["timeout_ms"] = uint64_t(b.wallMs);
     obj["max_fuel"] = b.maxFuel;
     obj["max_cycles"] = b.maxSimCycles;

@@ -18,7 +18,8 @@
  *    raw frame pump (`send`/`next`) underneath it.
  *
  * Consumers in-tree: `msctool` (every verb's `--connect` path), the
- * mscd router's shard links, `daemon_smoke`, and `bench_daemon`.
+ * mscd router's shard links, `daemon_smoke`, and perfbench's serve
+ * workloads.
  *
  * Thread-safety: a ClientConn is a single conversation — callers
  * serialize access (one thread, or an external lock). Distinct
@@ -93,15 +94,11 @@ class RequestBuilder
     }
     RequestBuilder &sizeHeuristic(bool on) { return set("size", on); }
 
-    /** Emits a `budget` object with every *nonzero* field of @p b
-     *  (zero = unlimited = the protocol default, so it is omitted). */
-    RequestBuilder &budget(const runtime::ExecBudget &b);
-
     /** Emits all four budget fields, zeros included. Exact
      *  propagation: a zero means "unlimited" and must override the
      *  peer's own default (the router uses this so shard-side
      *  defaults never alter a routed cell's outcome). */
-    RequestBuilder &budgetExact(const runtime::ExecBudget &b);
+    RequestBuilder &budget(const runtime::ExecBudget &b);
     /// @}
 
     /** Trace: embed the full Perfetto document in the result frame. */

@@ -16,6 +16,9 @@ constexpr uint64_t MAX_PUS = 512;
 constexpr uint64_t MIN_TARGETS = 1;
 constexpr uint64_t MAX_TARGETS = 64;
 
+/** Accepted range of "insts": a cell traces at least one instruction. */
+constexpr uint64_t MIN_INSTS = 1;
+
 [[noreturn]] void
 bad(const std::string &detail)
 {
@@ -240,7 +243,8 @@ parseImpl(const std::string &payload, const RequestDefaults &defaults)
         strats.push_back(report::strategyFromId(s, "protocol"));
 
     workloads::Scale scale = scaleField(doc);
-    uint64_t insts = uintField(doc, "insts", 250'000);
+    const uint64_t insts = rangedValue(doc.find("insts"), "\"insts\"",
+                                       250'000, MIN_INSTS, UINT64_MAX);
     const uint64_t targets = rangedValue(doc.find("targets"), "\"targets\"",
                                          4, MIN_TARGETS, MAX_TARGETS);
     bool in_order = boolField(doc, "in_order", false);

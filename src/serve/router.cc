@@ -538,7 +538,7 @@ forwardPayload(const report::RunSpec &spec, const std::string &cell_id,
         .targets(spec.opts.sel.maxTargets)
         .inOrder(!spec.opts.config.outOfOrder)
         .sizeHeuristic(spec.opts.sel.taskSizeHeuristic)
-        .budgetExact(spec.opts.budget);
+        .budget(spec.opts.budget);
     if (trace)
         b.includeTrace(include_trace);
     return b.payload();

@@ -42,8 +42,8 @@ for verb in run sweep trace; do
         expect '"pus" values must be in [1, 512]' \
             "$msctool" $verb compress --pus $v
     done
-    for v in -1 4x abc $huge; do
-        expect 'field "insts" must be a non-negative integer' \
+    for v in 0 -1 4x abc $huge; do
+        expect '"insts" must be in [1, 18446744073709551615]' \
             "$msctool" $verb compress --insts $v
     done
     for v in 0 -1 4x abc $big xx; do

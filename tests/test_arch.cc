@@ -72,7 +72,8 @@ TEST(Cache, RejectsGeometryTheShiftsCannotIndex)
     EXPECT_THROW(MemoryHierarchy{cfg}, std::invalid_argument);
 
     // Every geometry in the tree is accepted: the paper's (any PU
-    // count) and bench_micro's 4 KB direct-mapped L1s.
+    // count) and the 4 KB direct-mapped L1s of test_eventcore's
+    // quiescent stress case.
     for (unsigned pus : {1u, 3u, 4u, 6u, 8u})
         EXPECT_NO_THROW(MemoryHierarchy{SimConfig::paperConfig(pus)});
     EXPECT_NO_THROW(Cache(CacheConfig{4 * 1024, 1, 32, 1, 4}));
@@ -201,6 +202,37 @@ TEST(SyncTableTest, RemembersAndEvicts)
     st.insert(0x30, 0xb0);             // Evicts one entry.
     EXPECT_EQ(st.size(), 2u);
     EXPECT_EQ(st.producerOf(0x30), 0xb0u);
+}
+
+TEST(SyncTableTest, EvictsTheLeastRecentlyUsedLoad)
+{
+    // Uses: insert 0x10, 0x20, 0x30; hit 0x10. The oldest use is now
+    // 0x20's insert, so a fourth load PC evicts 0x20.
+    SyncTable st(3);
+    st.insert(0x10, 0x90);
+    st.insert(0x20, 0xa0);
+    st.insert(0x30, 0xb0);
+    EXPECT_EQ(st.producerOf(0x10), 0x90u);
+    st.insert(0x40, 0xc0);
+    EXPECT_EQ(st.size(), 3u);
+    EXPECT_EQ(st.producerOf(0x20), 0u);  // A miss uses nothing.
+    EXPECT_EQ(st.producerOf(0x30), 0xb0u);
+
+    // 0x10's hit came before 0x40's insert and 0x30's hit: 0x10 goes.
+    st.insert(0x50, 0xd0);
+    EXPECT_EQ(st.producerOf(0x10), 0u);
+    EXPECT_EQ(st.producerOf(0x30), 0xb0u);
+    EXPECT_EQ(st.producerOf(0x40), 0xc0u);
+    EXPECT_EQ(st.producerOf(0x50), 0xd0u);
+
+    // Re-inserting a held load updates its row in place and uses it.
+    st.insert(0x30, 0xe0);
+    st.insert(0x60, 0xf0);  // Oldest use now: 0x40's hit.
+    EXPECT_EQ(st.size(), 3u);
+    EXPECT_EQ(st.producerOf(0x30), 0xe0u);
+    EXPECT_EQ(st.producerOf(0x40), 0u);
+    EXPECT_EQ(st.producerOf(0x50), 0xd0u);
+    EXPECT_EQ(st.producerOf(0x60), 0xf0u);
 }
 
 TEST(GshareTest, LearnsBias)

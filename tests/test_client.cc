@@ -152,26 +152,14 @@ TEST(RequestBuilder, CancelAndStatsPayloads)
               "\"format\":\"prometheus\"}");
 }
 
-TEST(RequestBuilder, BudgetOmitsZeroFields)
-{
-    runtime::ExecBudget b;
-    b.maxFuel = 200000;
-    RequestBuilder r = RequestBuilder::run("r1", "compress");
-    r.budget(b);
-    EXPECT_EQ(r.payload(),
-              "{\"id\":\"r1\",\"kind\":\"run\","
-              "\"workload\":\"compress\","
-              "\"budget\":{\"max_fuel\":200000}}");
-}
-
-TEST(RequestBuilder, BudgetExactEmitsZeros)
+TEST(RequestBuilder, BudgetEmitsZeros)
 {
     // Exact propagation: explicit zeros must reach the peer so its
     // own defaults cannot alter a routed cell's outcome.
     runtime::ExecBudget b;
     b.maxFuel = 200000;
     RequestBuilder r = RequestBuilder::run("r1", "compress");
-    r.budgetExact(b);
+    r.budget(b);
     EXPECT_EQ(r.payload(),
               "{\"id\":\"r1\",\"kind\":\"run\","
               "\"workload\":\"compress\","

@@ -215,6 +215,40 @@ TEST(EventCore, SkippingEngages)
 }
 
 /**
+ * The quiescent stress shape: tiny direct-mapped L1s, a 16 KB L2 and
+ * DRAM-class memory keep every PU stalled on the same misses for most
+ * cycles. The cores must still agree, and the event core must skip
+ * the bulk of the run — a count, so it does not depend on the host.
+ */
+TEST(EventCore, QuiescentMachineSkipsMostCycles)
+{
+    ir::Program p = workloads::buildWorkload("swim",
+                                             workloads::Scale::Small);
+    Prepared pr{std::move(p), {}, {}, {}};
+    profile::Profile prof = profile::profileProgram(pr.prog, 50'000);
+    tasksel::SelectionOptions opts;
+    opts.strategy = Strategy::ControlFlow;
+    pr.part = tasksel::selectTasks(pr.prog, prof, opts);
+    pr.trace = profile::Interpreter(pr.prog).trace(60'000);
+    pr.tasks = cutTasks(pr.trace, pr.part);
+
+    SimConfig cfg = SimConfig::paperConfig(4);
+    cfg.l1i = {4 * 1024, 1, 32, 1, 4};
+    cfg.l1d = {4 * 1024, 1, 32, 1, 4};
+    cfg.l2 = {16 * 1024, 1, 32, 24, 1};
+    cfg.memLatency = 300;
+    expectCoresAgree(pr, cfg, "swim/cf/quiescent");
+
+    cfg.coreMode = CoreMode::Event;
+    SimStats e = simulate(pr.part, pr.tasks, cfg);
+    ASSERT_GT(e.cycles, 0u);
+    // Measured: 182,540 of 225,407 cycles skipped (0.8098).
+    EXPECT_GE(double(e.eventSkippedCycles) / double(e.cycles), 0.80)
+        << e.eventSkippedCycles << " of " << e.cycles
+        << " cycles skipped";
+}
+
+/**
  * Governor cycle budgets must trip at the same simulated cycle in
  * both cores: the event core clamps its jumps to the budget cycle
  * and to pulse boundaries so administrative checks fire exactly
